@@ -194,7 +194,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> FstEngine<'w, S, R, EV> {
             .map(|id| {
                 let mut d = Device::new(
                     id,
-                    n,
                     phase_rng.gen_range(0.0..1.0),
                     faults.period_for(id, cfg.protocol.period_slots),
                     cfg.protocol.refractory_slots,
@@ -242,7 +241,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> FstEngine<'w, S, R, EV> {
     /// join brings it back with a fresh neighbour table; the full-mesh
     /// coupling re-entrains it without any protocol machinery.
     fn apply_churn(&mut self, slot: Slot) {
-        let n = self.devices.len();
         let mut churned: Vec<DeviceId> = Vec::new();
         while self.next_churn < self.churn_events.len()
             && self.churn_events[self.next_churn].slot <= slot.0
@@ -271,7 +269,7 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> FstEngine<'w, S, R, EV> {
                         continue;
                     }
                     self.active[d] = true;
-                    self.devices[d].table = NeighborTable::new(n);
+                    self.devices[d].table = NeighborTable::new();
                     if EV && self.live_ev {
                         // Stepped windows tick every slot and the
                         // cutover reseed re-predicts the population.
@@ -813,7 +811,7 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> FstEngine<'w, S, R, EV> {
         let service_matches: u64 = self
             .devices
             .iter()
-            .map(|d| d.table.service_matches(d.service).len() as u64)
+            .map(|d| d.table.service_matches(d.service).count() as u64)
             .sum();
         RunOutcome {
             convergence_time: convergence.map(SlotDuration),

@@ -57,7 +57,6 @@ impl Device {
     /// A fresh device: own fragment, own head, no tree edges.
     pub fn new(
         id: DeviceId,
-        n: usize,
         initial_phase: f64,
         period_slots: u32,
         refractory_slots: u32,
@@ -67,7 +66,7 @@ impl Device {
             id,
             osc: PhaseOscillator::new(initial_phase, period_slots, refractory_slots),
             service,
-            table: NeighborTable::new(n),
+            table: NeighborTable::new(),
             fragment: id,
             head: id,
             parent: None,
@@ -144,7 +143,7 @@ mod tests {
     use super::*;
 
     fn device(id: DeviceId) -> Device {
-        Device::new(id, 10, 0.5, 100, 2, ServiceClass::KEEP_ALIVE)
+        Device::new(id, 0.5, 100, 2, ServiceClass::KEEP_ALIVE)
     }
 
     #[test]

@@ -47,31 +47,32 @@ pub struct NeighborInfo {
 }
 
 /// One device's view of its neighbourhood.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Only discovered neighbours are stored, as two parallel vectors kept
+/// sorted by id: memory is O(discovered), not O(n), and iteration runs
+/// in ascending id order, so every scan is deterministic.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NeighborTable {
-    entries: Vec<Option<NeighborInfo>>,
-    known: u32,
+    ids: Vec<DeviceId>,
+    infos: Vec<NeighborInfo>,
 }
 
 impl NeighborTable {
-    /// An empty table for a population of `n` devices.
-    pub fn new(n: usize) -> NeighborTable {
-        NeighborTable {
-            entries: vec![None; n],
-            known: 0,
-        }
+    /// An empty table.
+    pub fn new() -> NeighborTable {
+        NeighborTable::default()
     }
 
     /// Number of distinct neighbours discovered.
     #[inline]
     pub fn discovered(&self) -> u32 {
-        self.known
+        self.ids.len() as u32
     }
 
     /// Look up a neighbour.
     #[inline]
     pub fn get(&self, id: DeviceId) -> Option<&NeighborInfo> {
-        self.entries[id as usize].as_ref()
+        self.ids.binary_search(&id).ok().map(|i| &self.infos[i])
     }
 
     /// Record a decoded firing PS.
@@ -87,8 +88,9 @@ impl NeighborTable {
         tx_power: Dbm,
     ) {
         let est = RangingEstimate::from_rx(tx_power, rx_power, pathloss);
-        match &mut self.entries[sender as usize] {
-            Some(info) => {
+        match self.ids.binary_search(&sender) {
+            Ok(i) => {
+                let info = &mut self.infos[i];
                 info.weight_dbm = info.weight_dbm * (1.0 - WEIGHT_EWMA_ALPHA)
                     + rx_power.get() * WEIGHT_EWMA_ALPHA;
                 info.est_distance = est.distance;
@@ -97,16 +99,19 @@ impl NeighborTable {
                 info.last_heard = slot;
                 info.samples += 1;
             }
-            slot_entry @ None => {
-                *slot_entry = Some(NeighborInfo {
-                    weight_dbm: rx_power.get(),
-                    est_distance: est.distance,
-                    service,
-                    fragment,
-                    last_heard: slot,
-                    samples: 1,
-                });
-                self.known += 1;
+            Err(i) => {
+                self.ids.insert(i, sender);
+                self.infos.insert(
+                    i,
+                    NeighborInfo {
+                        weight_dbm: rx_power.get(),
+                        est_distance: est.distance,
+                        service,
+                        fragment,
+                        last_heard: slot,
+                        samples: 1,
+                    },
+                );
             }
         }
     }
@@ -114,8 +119,8 @@ impl NeighborTable {
     /// Update only the fragment label of a known neighbour (learned from
     /// merge traffic rather than a fire).
     pub fn update_fragment(&mut self, sender: DeviceId, fragment: DeviceId) {
-        if let Some(info) = &mut self.entries[sender as usize] {
-            info.fragment = fragment;
+        if let Ok(i) = self.ids.binary_search(&sender) {
+            self.infos[i].fragment = fragment;
         }
     }
 
@@ -140,12 +145,11 @@ impl NeighborTable {
     ) -> Option<(DeviceId, f64)> {
         let cutoff = now.0.saturating_sub(max_age_slots);
         let mut best: Option<(DeviceId, f64)> = None;
-        for (id, entry) in self.entries.iter().enumerate() {
-            let Some(info) = entry else { continue };
+        for (id, info) in self.iter() {
             if info.fragment == my_fragment || info.last_heard.0 < cutoff {
                 continue;
             }
-            let candidate = (id as DeviceId, info.weight_dbm);
+            let candidate = (id, info.weight_dbm);
             best = Some(match best {
                 None => candidate,
                 Some(cur) => {
@@ -161,25 +165,17 @@ impl NeighborTable {
     }
 
     /// Ids of discovered neighbours sharing service `mine`
-    /// (application-level proximity).
-    pub fn service_matches(&self, mine: ServiceClass) -> Vec<DeviceId> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(id, e)| {
-                e.as_ref()
-                    .filter(|info| info.service.matches(mine))
-                    .map(|_| id as DeviceId)
-            })
-            .collect()
+    /// (application-level proximity), in ascending id order.
+    pub fn service_matches(&self, mine: ServiceClass) -> impl Iterator<Item = DeviceId> + '_ {
+        self.iter()
+            .filter(move |(_, info)| info.service.matches(mine))
+            .map(|(id, _)| id)
     }
 
-    /// Iterate over `(id, info)` of all discovered neighbours.
+    /// Iterate over `(id, info)` of all discovered neighbours, in
+    /// ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (DeviceId, &NeighborInfo)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(id, e)| e.as_ref().map(|info| (id as DeviceId, info)))
+        self.ids.iter().copied().zip(self.infos.iter())
     }
 }
 
@@ -204,7 +200,7 @@ mod tests {
 
     #[test]
     fn first_observation_creates_entry() {
-        let mut t = NeighborTable::new(10);
+        let mut t = NeighborTable::new();
         assert_eq!(t.discovered(), 0);
         observe(&mut t, 3, -60.0, 3);
         assert_eq!(t.discovered(), 1);
@@ -218,7 +214,7 @@ mod tests {
 
     #[test]
     fn ewma_smooths_weight() {
-        let mut t = NeighborTable::new(10);
+        let mut t = NeighborTable::new();
         observe(&mut t, 3, -60.0, 3);
         observe(&mut t, 3, -80.0, 3);
         let Some(info) = t.get(3) else {
@@ -233,7 +229,7 @@ mod tests {
     #[test]
     fn ranging_estimate_is_plausible() {
         // −60 dBm from 23 dBm tx: loss 83 dB → 40+40log d = 83 → ~11.9 m.
-        let mut t = NeighborTable::new(4);
+        let mut t = NeighborTable::new();
         observe(&mut t, 1, -60.0, 1);
         let Some(info) = t.get(1) else {
             panic!("neighbour 1 missing after observation")
@@ -244,7 +240,7 @@ mod tests {
 
     #[test]
     fn best_outgoing_skips_own_fragment() {
-        let mut t = NeighborTable::new(10);
+        let mut t = NeighborTable::new();
         observe(&mut t, 1, -50.0, 7); // strongest but same fragment
         observe(&mut t, 2, -70.0, 9);
         observe(&mut t, 3, -65.0, 9);
@@ -259,15 +255,15 @@ mod tests {
 
     #[test]
     fn best_outgoing_none_when_all_internal() {
-        let mut t = NeighborTable::new(5);
+        let mut t = NeighborTable::new();
         observe(&mut t, 1, -50.0, 42);
         assert!(t.best_outgoing(42).is_none());
-        assert!(NeighborTable::new(5).best_outgoing(0).is_none());
+        assert!(NeighborTable::new().best_outgoing(0).is_none());
     }
 
     #[test]
     fn best_outgoing_tie_breaks_to_lower_id() {
-        let mut t = NeighborTable::new(10);
+        let mut t = NeighborTable::new();
         observe(&mut t, 4, -60.0, 1);
         observe(&mut t, 2, -60.0, 1);
         assert_eq!(t.best_outgoing(0).map(|b| b.0), Some(2));
@@ -275,7 +271,7 @@ mod tests {
 
     #[test]
     fn fresh_filter_excludes_stale_entries() {
-        let mut t = NeighborTable::new(10);
+        let mut t = NeighborTable::new();
         t.observe_fire(1, Dbm(-50.0), ServiceClass::new(0), 1, Slot(100), &PL, TX);
         t.observe_fire(2, Dbm(-70.0), ServiceClass::new(0), 2, Slot(900), &PL, TX);
         // At slot 1000 with a 300-slot window, only neighbour 2 counts.
@@ -291,7 +287,7 @@ mod tests {
 
     #[test]
     fn fragment_updates() {
-        let mut t = NeighborTable::new(5);
+        let mut t = NeighborTable::new();
         observe(&mut t, 1, -50.0, 1);
         t.update_fragment(1, 99);
         assert_eq!(t.get(1).map(|i| i.fragment), Some(99));
@@ -303,17 +299,18 @@ mod tests {
 
     #[test]
     fn service_matching() {
-        let mut t = NeighborTable::new(6);
+        let mut t = NeighborTable::new();
         t.observe_fire(1, Dbm(-50.0), ServiceClass::new(2), 1, Slot(0), &PL, TX);
         t.observe_fire(2, Dbm(-50.0), ServiceClass::new(3), 2, Slot(0), &PL, TX);
         t.observe_fire(3, Dbm(-50.0), ServiceClass::new(2), 3, Slot(0), &PL, TX);
-        assert_eq!(t.service_matches(ServiceClass::new(2)), vec![1, 3]);
-        assert!(t.service_matches(ServiceClass::new(5)).is_empty());
+        let matches: Vec<DeviceId> = t.service_matches(ServiceClass::new(2)).collect();
+        assert_eq!(matches, vec![1, 3]);
+        assert_eq!(t.service_matches(ServiceClass::new(5)).count(), 0);
     }
 
     #[test]
     fn iter_yields_all_entries() {
-        let mut t = NeighborTable::new(8);
+        let mut t = NeighborTable::new();
         observe(&mut t, 5, -55.0, 5);
         observe(&mut t, 2, -65.0, 2);
         let ids: Vec<DeviceId> = t.iter().map(|(id, _)| id).collect();

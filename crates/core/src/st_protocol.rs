@@ -457,7 +457,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> Engine<'w, S, R, EV> {
             .map(|id| {
                 Device::new(
                     id,
-                    n,
                     phase_rng.gen_range(0.0..1.0),
                     faults.period_for(id, cfg.protocol.period_slots),
                     cfg.protocol.refractory_slots,
@@ -1342,13 +1341,12 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> Engine<'w, S, R, EV> {
             return;
         }
         self.active[d as usize] = true;
-        let n = self.devices.len();
         let dev = &mut self.devices[d as usize];
         dev.fragment = d;
         dev.head = d;
         dev.parent = None;
         dev.children.clear();
-        dev.table = NeighborTable::new(n);
+        dev.table = NeighborTable::new();
         dev.coupling = if self.phase == Phase::Discovery {
             CouplingMode::Isolated
         } else {
@@ -2230,7 +2228,7 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> Engine<'w, S, R, EV> {
         let service_matches: u64 = self
             .devices
             .iter()
-            .map(|d| d.table.service_matches(d.service).len() as u64)
+            .map(|d| d.table.service_matches(d.service).count() as u64)
             .sum();
         RunOutcome {
             convergence_time: convergence.map(SlotDuration),

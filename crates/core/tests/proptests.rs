@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use ffd2d_core::discovery::NeighborTable;
+use ffd2d_core::discovery::{NeighborInfo, NeighborTable};
 use ffd2d_core::ranking::BrightnessRanking;
 use ffd2d_core::reference::build_spanning_tree;
 use ffd2d_graph::mst::kruskal_max_st;
@@ -11,6 +11,7 @@ use ffd2d_graph::weight::W;
 use ffd2d_graph::WeightedGraph;
 use ffd2d_phy::codec::ServiceClass;
 use ffd2d_radio::pathloss::PathLoss;
+use ffd2d_radio::rssi::RangingEstimate;
 use ffd2d_radio::units::Dbm;
 use ffd2d_sim::time::Slot;
 
@@ -43,7 +44,7 @@ proptest! {
     /// the entry always reflects the latest fragment/service.
     #[test]
     fn neighbor_table_ewma_bounds(obs in proptest::collection::vec((-110.0f64..-30.0, 0u32..8, 0u8..4), 1..40)) {
-        let mut t = NeighborTable::new(4);
+        let mut t = NeighborTable::new();
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for (i, &(dbm, frag, svc)) in obs.iter().enumerate() {
@@ -72,8 +73,7 @@ proptest! {
     /// returns the maximum eligible weight.
     #[test]
     fn best_outgoing_is_correct(entries in proptest::collection::vec((-110.0f64..-30.0, 0u32..3), 1..10)) {
-        let n = entries.len() + 1;
-        let mut t = NeighborTable::new(n);
+        let mut t = NeighborTable::new();
         for (i, &(dbm, frag)) in entries.iter().enumerate() {
             t.observe_fire(
                 (i + 1) as u32,
@@ -100,6 +100,100 @@ proptest! {
                 for (_, info) in t.iter() {
                     prop_assert_eq!(info.fragment, my_fragment);
                 }
+            }
+        }
+    }
+
+    /// The sparse sorted table agrees with a dense `Vec<Option<_>>`
+    /// model indexed by id: same entries, same count, ascending-id
+    /// iteration, and the same `best_outgoing_fresh` winner (ties to the
+    /// lower id) and service matches. Senders come from a small range
+    /// so updates collide and inserts land out of order; weights come
+    /// from a coarse grid so equal-weight ties are common.
+    #[test]
+    fn neighbor_table_matches_dense_model(
+        ops in proptest::collection::vec(
+            (0u8..4, 0u32..12, (0u8..4).prop_map(|k| -50.0 - 10.0 * k as f64), 0u8..3, 0u32..4),
+            1..60,
+        )
+    ) {
+        const N: usize = 12;
+        const ALPHA: f64 = 0.25;
+        let pl = PathLoss::PaperPiecewise;
+        let tx = Dbm(23.0);
+        let mut t = NeighborTable::new();
+        let mut model: Vec<Option<NeighborInfo>> = vec![None; N];
+        for (step, &(op, sender, dbm, svc, frag)) in ops.iter().enumerate() {
+            let slot = Slot(step as u64);
+            if op == 0 {
+                t.update_fragment(sender, frag);
+                if let Some(info) = &mut model[sender as usize] {
+                    info.fragment = frag;
+                }
+            } else {
+                let service = ServiceClass::new(svc);
+                t.observe_fire(sender, Dbm(dbm), service, frag, slot, &pl, tx);
+                let est = RangingEstimate::from_rx(tx, Dbm(dbm), &pl).distance;
+                let entry = &mut model[sender as usize];
+                *entry = Some(match *entry {
+                    Some(info) => NeighborInfo {
+                        weight_dbm: info.weight_dbm * (1.0 - ALPHA) + dbm * ALPHA,
+                        est_distance: est,
+                        service,
+                        fragment: frag,
+                        last_heard: slot,
+                        samples: info.samples + 1,
+                    },
+                    None => NeighborInfo {
+                        weight_dbm: dbm,
+                        est_distance: est,
+                        service,
+                        fragment: frag,
+                        last_heard: slot,
+                        samples: 1,
+                    },
+                });
+            }
+
+            for id in 0..N as u32 {
+                prop_assert_eq!(t.get(id), model[id as usize].as_ref());
+            }
+            let known: Vec<(u32, NeighborInfo)> = model
+                .iter()
+                .enumerate()
+                .filter_map(|(id, e)| e.map(|info| (id as u32, info)))
+                .collect();
+            prop_assert_eq!(t.discovered() as usize, known.len());
+            let listed: Vec<(u32, NeighborInfo)> = t.iter().map(|(id, info)| (id, *info)).collect();
+            prop_assert_eq!(&listed, &known);
+
+            for mine in 0..4u32 {
+                for max_age in [0u64, 5, u64::MAX] {
+                    let cutoff = slot.0.saturating_sub(max_age);
+                    let eligible: Vec<(u32, f64)> = known
+                        .iter()
+                        .filter(|(_, i)| i.fragment != mine && i.last_heard.0 >= cutoff)
+                        .map(|&(id, i)| (id, i.weight_dbm))
+                        .collect();
+                    let top = eligible.iter().map(|e| e.1).fold(f64::NEG_INFINITY, f64::max);
+                    let expected = eligible
+                        .iter()
+                        .filter(|e| e.1 == top)
+                        .map(|e| e.0)
+                        .min()
+                        .map(|id| (id, top));
+                    prop_assert_eq!(t.best_outgoing_fresh(mine, slot, max_age), expected);
+                }
+            }
+            for svc in 0..3u8 {
+                let class = ServiceClass::new(svc);
+                let matches: Vec<u32> = t.service_matches(class).collect();
+                let expected: Vec<u32> = known
+                    .iter()
+                    .filter(|(_, i)| i.service.matches(class))
+                    .map(|e| e.0)
+                    .collect();
+                prop_assert_eq!(matches, expected);
             }
         }
     }

@@ -52,7 +52,6 @@ fn main() {
         .map(|id| {
             Device::new(
                 id,
-                n,
                 (id as f64) / n as f64,
                 100,
                 5,
@@ -90,7 +89,7 @@ fn main() {
     for &id in &[0u32, 20, 40] {
         let me = &devices[id as usize];
         let mine = me.service;
-        let matches = me.table.service_matches(mine);
+        let matches: Vec<u32> = me.table.service_matches(mine).collect();
         println!(
             "shopper {id} (interested in {}) discovered {} peers, {} sharing the interest:",
             SERVICES[mine.0 as usize],
