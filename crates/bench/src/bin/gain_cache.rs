@@ -39,9 +39,7 @@ use ffd2d_sim::time::Slot;
 /// The batch cycles through 8 distinct transmitter pools — a merge
 /// round re-fires the same heads and handshake partners for many
 /// consecutive slots, so within an epoch the medium keeps seeing
-/// senders it has already built rows for. (Contrast the
-/// `parallel_medium` bench, which rotates senders every slot to keep
-/// the accumulation loop cold.)
+/// senders it has already built rows for.
 fn batch(n: usize, slot: u64) -> Vec<ProximitySignal> {
     (0..32u32)
         .map(|k| {

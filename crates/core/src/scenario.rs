@@ -162,8 +162,9 @@ pub struct ScenarioConfig {
     pub protocol: ProtocolConfig,
     /// Engine execution strategy (outcome-neutral; see [`EngineMode`]).
     pub engine: EngineMode,
-    /// Intra-run sharding of per-slot medium resolution
-    /// (outcome-neutral; see [`Parallelism`]). `Off` by default: sweeps
+    /// Intra-run sharding of per-slot medium resolution and of the
+    /// proximity-graph build (outcome-neutral; see [`Parallelism`]).
+    /// `Off` by default: sweeps
     /// parallelize across trials and a second layer would oversubscribe
     /// the cores; single-run workloads (trace replays, benches,
     /// `--trials 1`) turn it on.
@@ -230,8 +231,8 @@ impl ScenarioConfig {
         self
     }
 
-    /// Builder: select the intra-run medium parallelism (outcome
-    /// neutral; see [`Parallelism`]).
+    /// Builder: select the intra-run parallelism of the medium and the
+    /// proximity-graph build (outcome neutral; see [`Parallelism`]).
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self

@@ -62,7 +62,7 @@ use rand::Rng;
 use ffd2d_graph::adjacency::WeightedGraph;
 use ffd2d_graph::spatial::SpatialGrid;
 use ffd2d_graph::weight::W;
-use ffd2d_parallel::sharded_for_each_weighted;
+use ffd2d_parallel::{for_each_shard, weighted_runs, Parallelism};
 use ffd2d_phy::codec::{RachCodec, ServiceClass};
 use ffd2d_phy::frame::ProximitySignal;
 use ffd2d_radio::channel::{Channel, ChannelConfig};
@@ -83,6 +83,25 @@ use crate::scenario::{GainCacheMode, ScenarioConfig};
 /// cells, so degenerate configurations (tiny radius in a huge arena)
 /// cannot blow up cell-index memory.
 const MAX_CELLS_PER_AXIS: f64 = 256.0;
+
+/// Devices per shard block in a parallel proximity-graph build: small
+/// enough that consecutive blocks carry near-equal work in a dense cell
+/// (device `a` pairs with the `n − a` ids above it) and that the edge
+/// buffers stay a few MiB, large enough to amortise a spawn per round.
+const GRAPH_BLOCK: usize = 16;
+
+/// One shard's block in a parallel proximity-graph build. Buffers are
+/// reserved by the calling thread before each round, so the shard
+/// never allocates.
+#[derive(Debug, Default)]
+struct EdgeBlock {
+    devices: std::ops::Range<DeviceId>,
+    /// `(b, weight)` of every edge `{a, b}`, `b > a`, devices ascending.
+    edges: Vec<(DeviceId, W)>,
+    /// End offset in `edges` of each device's run.
+    ends: Vec<usize>,
+    candidates: Vec<DeviceId>,
+}
 
 /// One trial's fully-instantiated world.
 #[derive(Debug, Clone)]
@@ -187,6 +206,10 @@ impl World {
     /// weights = mean PS strength in dBm). Built lazily on first call;
     /// candidate pairs come from the spatial grid at the worst-case
     /// mean-link radius, so construction never scans inaudible pairs.
+    /// Under [`ScenarioConfig::parallelism`] the edge weights are
+    /// computed by shards in device blocks and appended in the serial
+    /// order, so the graph — adjacency order included — is identical
+    /// for any worker count.
     pub fn proximity_graph(&self) -> &WeightedGraph {
         self.graph.get_or_init(|| self.build_proximity_graph())
     }
@@ -194,24 +217,124 @@ impl World {
     fn build_proximity_graph(&self) -> WeightedGraph {
         let n = self.n();
         let mut g = WeightedGraph::new(n);
-        let mut candidates: Vec<DeviceId> = Vec::new();
-        for a in 0..n as DeviceId {
-            let p = self.deployment.position(a);
-            candidates.clear();
-            self.grid
-                .within(p.x, p.y, self.mean_link_range_m, &mut candidates);
-            // `within` returns ids ascending, so edges are inserted in
-            // the same (a asc, b asc) order as a dense double loop.
-            for &b in &candidates {
-                if b > a {
-                    let w = self.mean_rx_dbm(a, b);
-                    if w >= self.threshold_dbm {
-                        g.add_edge(a, b, W::new(w));
+        let workers = match self.cfg.parallelism {
+            Parallelism::Off => 1,
+            p => {
+                let pairs = (0..n as DeviceId)
+                    .map(|a| self.candidate_bound(a) as u64)
+                    .sum::<u64>()
+                    / 2;
+                p.workers_for(pairs).min(n.div_ceil(GRAPH_BLOCK))
+            }
+        };
+        if workers <= 1 {
+            let mut candidates: Vec<DeviceId> = Vec::new();
+            for a in 0..n as DeviceId {
+                self.edges_from(a, &mut candidates, |b, w| g.add_edge(a, b, w));
+            }
+            return g;
+        }
+        // Rounds of `workers` consecutive device blocks. The shards
+        // compute a round's edges into buffers reserved here, on the
+        // calling thread, while this thread appends the previous round
+        // in block order — the same (a asc, b asc) sequence as the
+        // serial loop above.
+        let new_round =
+            || -> Vec<EdgeBlock> { (0..workers).map(|_| EdgeBlock::default()).collect() };
+        // `ready` starts as empty blocks, so the first round only computes.
+        let (mut ready, mut filling) = (new_round(), new_round());
+        let mut next = 0;
+        loop {
+            let more = next < n;
+            if more {
+                next = self.plan_round(&mut filling, next);
+            }
+            std::thread::scope(|scope| {
+                if more {
+                    for blk in &mut filling {
+                        scope.spawn(|| self.compute_block(blk));
                     }
+                }
+                for blk in &ready {
+                    let mut from = 0;
+                    for (a, &end) in blk.devices.clone().zip(&blk.ends) {
+                        for &(b, w) in &blk.edges[from..end] {
+                            g.add_edge(a, b, w);
+                        }
+                        from = end;
+                    }
+                }
+            });
+            if !more {
+                return g;
+            }
+            std::mem::swap(&mut ready, &mut filling);
+        }
+    }
+
+    /// Hand `blocks` the next consecutive device blocks from `next` on,
+    /// reserving their buffers here, on the calling thread, so the
+    /// shards never allocate. Returns the first device left over.
+    fn plan_round(&self, blocks: &mut [EdgeBlock], mut next: usize) -> usize {
+        for blk in blocks {
+            let hi = (next + GRAPH_BLOCK).min(self.n());
+            blk.devices = next as DeviceId..hi as DeviceId;
+            next = hi;
+            let bounds = blk.devices.clone().map(|a| self.candidate_bound(a));
+            let (sum, max) = bounds.fold((0, 0), |(s, m), b| (s + b, m.max(b)));
+            blk.edges.clear();
+            blk.edges.reserve(sum);
+            blk.ends.clear();
+            blk.ends.reserve(blk.devices.len());
+            blk.candidates.clear();
+            blk.candidates.reserve(max);
+        }
+        next
+    }
+
+    /// Compute one block's edges into its reserved buffers.
+    fn compute_block(&self, blk: &mut EdgeBlock) {
+        for a in blk.devices.clone() {
+            let edges = &mut blk.edges;
+            self.edges_from(a, &mut blk.candidates, |b, w| edges.push((b, w)));
+            blk.ends.push(blk.edges.len());
+        }
+    }
+
+    /// Upper bound on the candidates of device `a` in the graph build:
+    /// every occupant of every grid cell its mean-link disc touches.
+    fn candidate_bound(&self, a: DeviceId) -> usize {
+        let p = self.deployment.position(a);
+        self.grid
+            .cells_intersecting_disc(p.x, p.y, self.mean_link_range_m)
+            .map(|c| self.grid.cell_items(c).len())
+            .sum()
+    }
+
+    /// Feed `edge(b, w)` every proximity-graph edge `{a, b}` with
+    /// `b > a`, in ascending `b`. Candidates come from the spatial grid
+    /// at the worst-case mean-link radius, so no inaudible pair is
+    /// scanned; `candidates` is scratch.
+    fn edges_from<F: FnMut(DeviceId, W)>(
+        &self,
+        a: DeviceId,
+        candidates: &mut Vec<DeviceId>,
+        mut edge: F,
+    ) {
+        let p = self.deployment.position(a);
+        candidates.clear();
+        self.grid
+            .within(p.x, p.y, self.mean_link_range_m, candidates);
+        // `within` returns ids ascending, so edges come in the same
+        // (a asc, b asc) order as a dense double loop.
+        for &b in candidates.iter() {
+            if b > a {
+                let w = self.mean_rx_dbm(a, b);
+                if w >= self.threshold_dbm {
+                    edge(b, W::new(w));
                 }
             }
         }
-        g
     }
 
     /// Per-device service interests.
@@ -385,14 +508,71 @@ impl GainCache {
     fn sender_gen(&self, sender: DeviceId) -> u64 {
         self.device_gen.get(sender as usize).copied().unwrap_or(0)
     }
+
+    /// Index of the row under `key`, if it is still valid for `sender`:
+    /// churn stales exactly the churned senders' rows.
+    #[inline]
+    fn valid_row(&self, key: u64, sender: DeviceId) -> Option<u32> {
+        self.index
+            .get(&key)
+            .copied()
+            .filter(|&i| self.row_gen[i as usize] == self.sender_gen(sender))
+    }
+
+    /// Store `row` under `key`, stamped with the sender's current
+    /// membership generation, and return its index. A key already
+    /// present means the old row went stale under churn: it is replaced
+    /// in place.
+    fn publish(&mut self, key: u64, row: Vec<f64>) -> u32 {
+        let gen = self.sender_gen(key_parts(key).0);
+        match self.index.entry(key) {
+            std::collections::hash_map::Entry::Occupied(e) => {
+                let i = *e.get();
+                debug_assert_ne!(
+                    self.row_gen[i as usize], gen,
+                    "refilled a still-valid gain-cache row, key {key}"
+                );
+                self.rows[i as usize] = row;
+                self.row_gen[i as usize] = gen;
+                i
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                let i = self.rows.len() as u32;
+                e.insert(i);
+                self.rows.push(row);
+                self.row_gen.push(gen);
+                i
+            }
+        }
+    }
 }
 
-/// Where an accumulation row lives: the shared epoch cache (read-only
-/// under sharding) or the shard's private fills from this slot.
-#[derive(Clone, Copy)]
-enum RowRef {
-    Shared(u32),
-    Local(u32),
+/// Sentinel in [`FastMedium::cell_rows`] for a row the fill phase has
+/// yet to publish.
+const PENDING_ROW: u32 = u32::MAX;
+
+/// Gain-cache key of the `(sender, cell)` row.
+#[inline]
+fn row_key(sender: DeviceId, cell: usize) -> u64 {
+    ((sender as u64) << 32) | cell as u64
+}
+
+/// The `(sender, cell)` a [`row_key`] encodes.
+#[inline]
+fn key_parts(key: u64) -> (DeviceId, usize) {
+    (
+        (key >> 32) as DeviceId,
+        (key & u64::from(u32::MAX)) as usize,
+    )
+}
+
+/// One contiguous run of receivers: occupants `start..end` of grid cell
+/// `cell` (ascending ids, as [`SpatialGrid::cell_items`] stores them).
+#[derive(Debug, Clone, Copy)]
+struct RxRun {
+    cell: u32,
+    start: u32,
+    end: u32,
 }
 
 /// Epoch-stamped slot resolver with the same semantics as
@@ -407,23 +587,35 @@ enum RowRef {
 ///
 /// ## Intra-run parallelism
 ///
-/// When the world's [`ScenarioConfig::parallelism`] engages, the
-/// accumulation phase shards the (sorted) touched-cell list into
-/// contiguous chunks balanced by candidate-pair weight (transmissions ×
-/// occupants per cell, so one hot cell cannot serialize the slot), one
-/// scoped worker per chunk, each with its own
-/// persistent [`ShardScratch`]. A receiver lives in exactly one grid
-/// cell, so its `(receiver, codec)` accumulators are written by exactly
-/// one shard, in the same cell-ascending / submission order the
-/// sequential loop uses — the accumulated `best`/`second`/`count` are
-/// bit-identical for any worker count. Delivery (counters, trace
-/// events, the `deliver` callback) then runs sequentially over all
-/// shards' touched keys in globally sorted order, which is exactly the
-/// sequential resolver's order — so traced runs are byte-identical too.
+/// When the world's [`ScenarioConfig::parallelism`] engages, a slot runs
+/// in two sharded phases, each shard with its own persistent
+/// [`ShardScratch`]:
+///
+/// 1. **Fill.** The `(sender, cell)` gain rows the slot needs but the
+///    epoch cache lacks are sorted by key and handed out to the shards
+///    in contiguous, occupancy-balanced chunks. Their buffers are
+///    allocated on the calling thread; each shard runs the batched
+///    kernel into its own rows, and the rows are published in key order
+///    after the join. Rows are pure functions of positions, so the
+///    store is identical for any worker count.
+/// 2. **Accumulate.** The touched cells' occupants form one receiver
+///    sequence (cells ascending, ids ascending within a cell), cut into
+///    contiguous **receiver runs** of near-equal candidate-pair weight
+///    ([`ffd2d_parallel::weighted_runs`]) — cuts fall inside cells, so
+///    the paper's single-cell arena splits too. Every shard only reads
+///    the shared store. A receiver belongs to exactly one shard, so its
+///    `(receiver, codec)` accumulators see their transmissions in
+///    submission order, as in the sequential loop, and the accumulated
+///    `best`/`second`/`count` are bit-identical for any worker count.
+///
+/// Delivery (counters, trace events, the `deliver` callback) then runs
+/// sequentially over all shards' touched keys in globally sorted order,
+/// which is exactly the sequential resolver's order — so traced runs
+/// are byte-identical too. With one worker both phases run inline.
 #[derive(Debug)]
 pub struct FastMedium {
     n: usize,
-    /// Per-shard accumulators and link caches; `shards[0]` doubles as
+    /// Per-shard accumulators and work lists; `shards[0]` doubles as
     /// the sequential path. Grown on demand, never shrunk.
     shards: Vec<ShardScratch>,
     /// Per-device transmit epoch (half-duplex tracking).
@@ -432,26 +624,29 @@ pub struct FastMedium {
     /// Per-cell transmission batches (epoch-stamped, allocation reused).
     cell_stamp: Vec<u64>,
     cell_txs: Vec<Vec<u32>>,
+    /// Gain-cache row index per posted transmission, parallel to
+    /// `cell_txs` (cached mode only; allocation reused).
+    cell_rows: Vec<Vec<u32>>,
     touched_cells: Vec<u32>,
-    /// Per-touched-cell candidate-pair weights (txs × occupants),
-    /// parallel to `touched_cells` after the sort; drives the
-    /// occupancy-weighted shard split (allocation reused).
-    cell_weights: Vec<u64>,
+    /// `(items, unit weight)` groups handed to
+    /// [`ffd2d_parallel::weighted_runs`]: rows to fill, then receiver
+    /// cells to accumulate (allocation reused).
+    groups: Vec<(u32, u64)>,
+    /// This slot's missing gain rows: `(key, published row index)`,
+    /// sorted by key (allocation reused).
+    missing: Vec<(u64, u32)>,
     /// `(key, shard)` pairs gathered per slot for globally-ordered
     /// delivery (allocation reused).
     delivery: Vec<(u32, u32)>,
-    /// Shared epoch-keyed link-state cache (see [`GainCache`]): shards
-    /// read it concurrently, publish their fills after the join.
+    /// Shared epoch-keyed link-state cache (see [`GainCache`]): filled
+    /// and published before accumulation, read-only during it.
     gains: GainCache,
 }
 
-/// One shard's private accumulation state, persistent across slots:
-/// epoch-stamped per-`(receiver, codec)` collision accumulators plus the
-/// shard's gain-cache fills from the current slot. Shards read the
-/// shared [`GainCache`] concurrently but never write it — rows missing
-/// from it are computed into `fill_rows` and published into the shared
-/// store after the join, in shard order, so workers never contend — and
-/// the sequential path is just shard 0.
+/// One shard's private state, persistent across slots: epoch-stamped
+/// per-`(receiver, codec)` collision accumulators plus the work the
+/// calling thread assigns it each slot — gain rows to fill and receiver
+/// runs to accumulate. The sequential path is just shard 0.
 #[derive(Debug, Clone)]
 struct ShardScratch {
     /// Per `(receiver, codec)` accumulator epoch (slot-stamped).
@@ -461,25 +656,17 @@ struct ShardScratch {
     best_tx: Vec<u32>,
     count: Vec<u32>,
     touched: Vec<u32>,
-    /// Gain-cache keys this shard filled this slot (drained into the
-    /// shared store after the join).
-    fill_keys: Vec<u64>,
-    /// The filled rows, parallel to `fill_keys`.
-    fill_rows: Vec<Vec<f64>>,
-    /// Per-slot dedup of local fills (the same sender can post two
-    /// transmissions into one cell in one slot). Cleared on publish.
-    // ffd2d-lint: allow(ordered-iteration) — lookup-only dedup map; publish drains the parallel `fill_keys`/`fill_rows` vectors (insertion order), never this map's iteration order
-    fill_index: HashMap<u64, u32>,
+    /// This slot's receiver runs.
+    runs: Vec<RxRun>,
+    /// This slot's fill jobs: `(key, row)`, each row's buffer reserved
+    /// by the calling thread and filled in place by this shard.
+    fills: Vec<(u64, Vec<f64>)>,
     /// Above-threshold (detected) pairs seen this slot.
     detected: u64,
     // --- Telemetry (written only when the resolving recorder is
     // enabled; the disabled path never touches these) ---
     /// Wall-clock nanoseconds this shard spent accumulating this slot.
     busy_ns: u64,
-    /// Rows served from the shared epoch cache this slot.
-    rows_hit: u64,
-    /// Rows this shard had to fill this slot (batched-kernel runs).
-    rows_filled: u64,
     /// Wall-clock nanoseconds spent inside the fill kernel this slot.
     fill_ns: u64,
 }
@@ -491,7 +678,7 @@ struct SlotCtx<'a> {
     slot: Slot,
     epoch: u64,
     /// Per-cell transmission batches (only cells stamped this epoch
-    /// appear in the shard's cell list).
+    /// appear in a shard's runs).
     cell_txs: &'a [Vec<u32>],
     /// Per-device transmit epoch (half-duplex tracking).
     tx_stamp: &'a [u64],
@@ -503,11 +690,12 @@ struct SlotCtx<'a> {
     /// Per-transmission power droop in dB (fault injection); `None`
     /// when no droop window is open this slot.
     droop: Option<&'a [f64]>,
-    /// The shared epoch-keyed gain cache, read-only during
-    /// accumulation; `None` disables caching
-    /// ([`crate::GainCacheMode::Off`]) and means are recomputed
-    /// per pair.
-    gains: Option<&'a GainCache>,
+    /// The shared epoch-keyed gain cache with every row this slot reads
+    /// already published, and the row index per posted transmission
+    /// (parallel to `cell_txs`); `None` disables caching
+    /// ([`crate::GainCacheMode::Off`]) and means are recomputed per
+    /// pair.
+    gains: Option<(&'a GainCache, &'a [Vec<u32>])>,
 }
 
 impl ShardScratch {
@@ -519,15 +707,31 @@ impl ShardScratch {
             best_tx: vec![0; n * 2],
             count: vec![0; n * 2],
             touched: Vec::with_capacity(64),
-            fill_keys: Vec::new(),
-            fill_rows: Vec::new(),
-            // ffd2d-lint: allow(ordered-iteration) — see the field's proof comment: lookup-only dedup map
-            fill_index: HashMap::new(),
+            runs: Vec::new(),
+            fills: Vec::new(),
             detected: 0,
             busy_ns: 0,
-            rows_hit: 0,
-            rows_filled: 0,
             fill_ns: 0,
+        }
+    }
+
+    /// Run the batched kernel into every row of this shard's fill jobs;
+    /// `timed` clocks the kernel for telemetry.
+    fn fill(&mut self, world: &World, timed: bool) {
+        if self.fills.is_empty() {
+            return;
+        }
+        // ffd2d-lint: allow(wall-clock) — recorder-gated fill-kernel timing; feeds metrics only
+        let t0 = timed.then(Instant::now);
+        for (key, row) in &mut self.fills {
+            let (sender, cell) = key_parts(*key);
+            world.fill_mean_rx_dbm(sender, world.grid.cell_items(cell), row);
+        }
+        if let Some(t0) = t0 {
+            // At least 1, so a shard that filled is always recorded.
+            self.fill_ns = u64::try_from(t0.elapsed().as_nanos())
+                .unwrap_or(u64::MAX)
+                .max(1);
         }
     }
 
@@ -576,111 +780,49 @@ impl ShardScratch {
         }
     }
 
-    /// Accumulate one contiguous chunk of touched cells. Dispatches on
-    /// the world's caching mode; both paths produce bit-identical
-    /// per-key state (locked by `tests/gain_cache.rs`): for any one
-    /// `(receiver, codec)` key the transmissions are visited in
-    /// submission order either way, and `admit` is order-insensitive
-    /// across keys.
-    fn accumulate<const TELEM: bool>(&mut self, ctx: &SlotCtx<'_>, cells: &[u32]) {
-        match ctx.gains {
-            Some(gains) => self.accumulate_cached::<TELEM>(ctx, gains, cells),
-            None => self.accumulate_direct(ctx, cells),
-        }
+    /// Whether receiver `r` listens this slot: transmitters are
+    /// half-duplex deaf and departed devices hear nothing.
+    #[inline]
+    fn listens(ctx: &SlotCtx<'_>, r: DeviceId) -> bool {
+        ctx.tx_stamp[r as usize] != ctx.epoch && ctx.active.is_none_or(|a| a[r as usize])
     }
 
-    /// Uncached accumulation: recompute the mean gain per candidate
-    /// pair. Receivers ascending within a cell, transmissions in
-    /// submission order — the original sequential visit order.
-    fn accumulate_direct(&mut self, ctx: &SlotCtx<'_>, cells: &[u32]) {
-        for &cell in cells {
+    /// Accumulate this shard's receiver runs. Both caching modes
+    /// produce bit-identical per-key state (locked by
+    /// `tests/gain_cache.rs`): for any one `(receiver, codec)` key the
+    /// transmissions are visited in submission order either way, and
+    /// `admit` is order-insensitive across keys.
+    fn accumulate(&mut self, ctx: &SlotCtx<'_>) {
+        for i in 0..self.runs.len() {
+            let RxRun { cell, start, end } = self.runs[i];
             let cell = cell as usize;
+            let (start, end) = (start as usize, end as usize);
+            let items = &ctx.world.grid.cell_items(cell)[start..end];
             let txs_here = &ctx.cell_txs[cell];
-            for &r in ctx.world.grid.cell_items(cell) {
-                if ctx.tx_stamp[r as usize] == ctx.epoch {
-                    continue; // half-duplex: transmitting receivers are deaf
-                }
-                if let Some(active) = ctx.active {
-                    if !active[r as usize] {
-                        continue; // departed devices hear nothing
-                    }
-                }
-                for &ti in txs_here {
-                    let sender = ctx.transmissions[ti as usize].sender;
-                    let mean = ctx.world.mean_rx_dbm(sender, r);
-                    self.admit(ctx, ti, r, mean);
-                }
-            }
-        }
-    }
-
-    /// Cached accumulation: per transmission, resolve the `(sender,
-    /// cell)` row — shared cache first, then this slot's local fills,
-    /// else run the batched kernel once for the whole cell — and sweep
-    /// the cell's receivers reading `row[j]` by occupant index. The
-    /// tx-outer sweep visits each `(receiver, codec)` key's
-    /// transmissions in the same submission order as the
-    /// receiver-outer direct loop, so accumulated state is identical.
-    fn accumulate_cached<const TELEM: bool>(
-        &mut self,
-        ctx: &SlotCtx<'_>,
-        gains: &GainCache,
-        cells: &[u32],
-    ) {
-        for &cell in cells {
-            let cell = cell as usize;
-            let txs_here = &ctx.cell_txs[cell];
-            if txs_here.is_empty() {
-                continue;
-            }
-            let items = ctx.world.grid.cell_items(cell);
-            for &ti in txs_here {
-                let sender = ctx.transmissions[ti as usize].sender;
-                let key = ((sender as u64) << 32) | cell as u64;
-                // A shared row is served only while its membership
-                // stamp matches the sender's: churn stales exactly the
-                // churned senders' rows, which then refill below.
-                let shared = gains
-                    .index
-                    .get(&key)
-                    .copied()
-                    .filter(|&i| gains.row_gen[i as usize] == gains.sender_gen(sender));
-                let row = if let Some(i) = shared {
-                    if TELEM {
-                        self.rows_hit += 1;
-                    }
-                    RowRef::Shared(i)
-                } else if let Some(&i) = self.fill_index.get(&key) {
-                    RowRef::Local(i)
-                } else {
-                    // ffd2d-lint: allow(wall-clock) — telemetry-gated fill-kernel timing; compiled out under NullRecorder, feeds metrics only
-                    let t0 = TELEM.then(Instant::now);
-                    let mut filled = Vec::new();
-                    ctx.world.fill_mean_rx_dbm(sender, items, &mut filled);
-                    if let Some(t0) = t0 {
-                        self.rows_filled += 1;
-                        self.fill_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    }
-                    let i = self.fill_rows.len() as u32;
-                    self.fill_index.insert(key, i);
-                    self.fill_keys.push(key);
-                    self.fill_rows.push(filled);
-                    RowRef::Local(i)
-                };
-                for (j, &r) in items.iter().enumerate() {
-                    if ctx.tx_stamp[r as usize] == ctx.epoch {
-                        continue; // half-duplex: transmitting receivers are deaf
-                    }
-                    if let Some(active) = ctx.active {
-                        if !active[r as usize] {
-                            continue; // departed devices hear nothing
+            match ctx.gains {
+                // Cached: per transmission, sweep the run reading the
+                // published `(sender, cell)` row by occupant index.
+                Some((gains, cell_rows)) => {
+                    for (&ti, &row) in txs_here.iter().zip(&cell_rows[cell]) {
+                        let means = &gains.rows[row as usize][start..end];
+                        for (&r, &mean) in items.iter().zip(means) {
+                            if Self::listens(ctx, r) {
+                                self.admit(ctx, ti, r, mean);
+                            }
                         }
                     }
-                    let mean = match row {
-                        RowRef::Shared(i) => gains.rows[i as usize][j],
-                        RowRef::Local(i) => self.fill_rows[i as usize][j],
-                    };
-                    self.admit(ctx, ti, r, mean);
+                }
+                // Uncached: recompute the mean gain per candidate pair.
+                None => {
+                    for &r in items {
+                        if !Self::listens(ctx, r) {
+                            continue;
+                        }
+                        for &ti in txs_here {
+                            let sender = ctx.transmissions[ti as usize].sender;
+                            self.admit(ctx, ti, r, ctx.world.mean_rx_dbm(sender, r));
+                        }
+                    }
                 }
             }
         }
@@ -697,8 +839,10 @@ impl FastMedium {
             epoch: 0,
             cell_stamp: Vec::new(),
             cell_txs: Vec::new(),
+            cell_rows: Vec::new(),
             touched_cells: Vec::new(),
-            cell_weights: Vec::new(),
+            groups: Vec::new(),
+            missing: Vec::new(),
             delivery: Vec::with_capacity(64),
             gains: GainCache::default(),
         }
@@ -760,11 +904,91 @@ impl FastMedium {
         if self.cell_stamp.len() != cells {
             self.cell_stamp = vec![0; cells];
             self.cell_txs = vec![Vec::new(); cells];
+            self.cell_rows = vec![Vec::new(); cells];
         }
         let key = world.mobility_epoch();
         if self.gains.valid_for != key {
             self.gains.reset(key);
         }
+    }
+
+    /// Fill phase: point every posted transmission at its `(sender,
+    /// cell)` row in the epoch cache, computing the rows the cache
+    /// lacks first. Missing rows are sorted by key, handed to up to
+    /// `workers` shards in contiguous chunks balanced by row length —
+    /// their buffers reserved here, on the calling thread — filled in
+    /// parallel, and published in key order after the join, so the
+    /// store is identical for any worker count. Returns `(rows served
+    /// from the cache, rows filled)`.
+    fn fill_rows(
+        &mut self,
+        world: &World,
+        transmissions: &[ProximitySignal],
+        workers: usize,
+        timed: bool,
+    ) -> (u64, u64) {
+        let mut hits = 0u64;
+        self.missing.clear();
+        for &c in &self.touched_cells {
+            let c = c as usize;
+            let rows = &mut self.cell_rows[c];
+            rows.clear();
+            for &ti in &self.cell_txs[c] {
+                let sender = transmissions[ti as usize].sender;
+                let key = row_key(sender, c);
+                if let Some(i) = self.gains.valid_row(key, sender) {
+                    hits += 1;
+                    rows.push(i);
+                } else {
+                    self.missing.push((key, PENDING_ROW));
+                    rows.push(PENDING_ROW);
+                }
+            }
+        }
+        if self.missing.is_empty() {
+            return (hits, 0);
+        }
+        // The same sender can post two transmissions into one cell.
+        self.missing.sort_unstable();
+        self.missing.dedup();
+
+        let cell_len = |key: u64| world.grid.cell_items(key_parts(key).1).len();
+        let workers = workers.min(self.missing.len());
+        self.groups.clear();
+        self.groups.extend(
+            self.missing
+                .iter()
+                .map(|&(key, _)| (1, cell_len(key) as u64)),
+        );
+        let (shards, missing) = (&mut self.shards, &self.missing);
+        weighted_runs(&self.groups, workers, |s, g, _, _| {
+            let key = missing[g].0;
+            shards[s]
+                .fills
+                .push((key, Vec::with_capacity(cell_len(key))));
+        });
+        for_each_shard(&mut self.shards[..workers], |_, shard| {
+            shard.fill(world, timed)
+        });
+        // The shards hold contiguous chunks of the sorted keys, so
+        // draining them in shard order publishes in key order.
+        let mut next = 0;
+        for shard in &mut self.shards[..workers] {
+            for (key, row) in shard.fills.drain(..) {
+                self.missing[next].1 = self.gains.publish(key, row);
+                next += 1;
+            }
+        }
+        for &c in &self.touched_cells {
+            let c = c as usize;
+            for (row, &ti) in self.cell_rows[c].iter_mut().zip(&self.cell_txs[c]) {
+                if *row == PENDING_ROW {
+                    let key = row_key(transmissions[ti as usize].sender, c);
+                    *row = self.missing[self.missing.partition_point(|m| m.0 < key)].1;
+                }
+            }
+        }
+        (hits, self.missing.len() as u64)
     }
 
     /// Resolve one slot: every decoded `(receiver, signal, rx_dbm)`
@@ -931,27 +1155,21 @@ impl FastMedium {
         // ascending within a cell, transmissions in submission order.
         self.touched_cells.sort_unstable();
 
-        // Shard the (sorted) cell list when the configured parallelism
-        // engages on this slot's workload. A receiver's accumulators
-        // live with its home cell's shard, so any chunking yields
-        // bit-identical per-key results (see the struct docs). Chunk
-        // boundaries balance candidate pairs, not cell counts: one hot
-        // cell in a clustered deployment can carry most of the slot's
-        // work, and an even cell split would leave every other shard
-        // idle behind it.
-        self.cell_weights.clear();
-        let mut pairs = 0u64;
+        // Shard when the configured parallelism engages on this slot's
+        // candidate pairs (occupants × transmissions per touched cell).
+        self.groups.clear();
         for &c in &self.touched_cells {
-            let w = self.cell_txs[c as usize].len() as u64
-                * world.grid.cell_items(c as usize).len() as u64;
-            self.cell_weights.push(w);
-            pairs += w;
+            let items = world.grid.cell_items(c as usize).len() as u32;
+            self.groups
+                .push((items, self.cell_txs[c as usize].len() as u64));
         }
+        let pairs: u64 = self.groups.iter().map(|&(m, t)| m as u64 * t).sum();
+        let occupants: usize = self.groups.iter().map(|&(m, _)| m as usize).sum();
         let workers = world
             .config()
             .parallelism
             .workers_for(pairs)
-            .min(self.touched_cells.len().max(1));
+            .min(occupants.max(1));
         if self.shards.len() < workers {
             let n = self.n;
             self.shards.resize_with(workers, || ShardScratch::new(n));
@@ -959,15 +1177,40 @@ impl FastMedium {
         for shard in &mut self.shards[..workers] {
             shard.detected = 0;
             shard.touched.clear();
+            shard.runs.clear();
             if R::ENABLED {
                 shard.busy_ns = 0;
-                shard.rows_hit = 0;
-                shard.rows_filled = 0;
                 shard.fill_ns = 0;
             }
         }
 
+        // Cut the touched cells' receivers into contiguous runs of
+        // near-equal pair weight. A receiver's accumulators live with
+        // the one shard that owns it, so any cut yields bit-identical
+        // per-key results (see the struct docs); cutting inside cells
+        // lets a single hot cell — the whole Table-I arena — split.
+        let (shards, touched) = (&mut self.shards, &self.touched_cells);
+        weighted_runs(&self.groups, workers, |s, g, start, end| {
+            shards[s].runs.push(RxRun {
+                cell: touched[g],
+                start,
+                end,
+            });
+        });
+        for shard in &mut self.shards[..workers] {
+            // Room for every key the shard can touch, reserved on this
+            // thread so the workers never allocate.
+            let receivers: u32 = shard.runs.iter().map(|r| r.end - r.start).sum();
+            shard.touched.reserve(2 * receivers as usize);
+        }
+
         let cached = world.config().gain_cache == GainCacheMode::Epoch;
+        let (hits, filled) = if cached {
+            self.fill_rows(world, transmissions, workers, R::ENABLED)
+        } else {
+            (0, 0)
+        };
+
         let threshold = world.threshold_dbm();
         let mean_floor = threshold - world.fade_headroom_db();
         let ctx = SlotCtx {
@@ -981,35 +1224,27 @@ impl FastMedium {
             mean_floor,
             active,
             droop: droops.as_deref(),
-            gains: cached.then_some(&self.gains),
+            gains: cached.then_some((&self.gains, &self.cell_rows[..])),
         };
         if R::ENABLED {
             // Timed accumulation: each shard clocks its own busy window
             // on its own thread (the recorder itself stays on this
             // thread and is flushed after the join).
-            sharded_for_each_weighted(
-                &self.touched_cells,
-                &self.cell_weights,
-                &mut self.shards[..workers],
-                |_, cells, shard| {
-                    // ffd2d-lint: allow(wall-clock) — recorder-gated shard busy-window; this closure only runs when R::ENABLED and writes telemetry fields alone
-                    let t0 = Instant::now();
-                    shard.accumulate::<true>(&ctx, cells);
-                    shard.busy_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                },
-            );
+            for_each_shard(&mut self.shards[..workers], |_, shard| {
+                // ffd2d-lint: allow(wall-clock) — recorder-gated shard busy-window; this closure only runs when R::ENABLED and writes telemetry fields alone
+                let t0 = Instant::now();
+                shard.accumulate(&ctx);
+                shard.busy_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            });
         } else {
-            sharded_for_each_weighted(
-                &self.touched_cells,
-                &self.cell_weights,
-                &mut self.shards[..workers],
-                |_, cells, shard| shard.accumulate::<false>(&ctx, cells),
-            );
+            for_each_shard(&mut self.shards[..workers], |_, shard| {
+                shard.accumulate(&ctx)
+            });
         }
 
         // Gather every shard's touched keys for globally-ordered
-        // delivery. Keys are unique across shards (one home cell per
-        // receiver), so sorting the pairs sorts by key.
+        // delivery. Keys are unique across shards (each receiver is in
+        // exactly one run), so sorting the pairs sorts by key.
         let mut detected = 0u64;
         self.delivery.clear();
         for (si, shard) in self.shards[..workers].iter().enumerate() {
@@ -1019,42 +1254,6 @@ impl FastMedium {
             }
         }
         self.delivery.sort_unstable();
-
-        // Publish this slot's per-shard fills into the shared gain
-        // cache, in shard order. Fill keys are unique across shards
-        // within a slot (a touched cell is owned by exactly one shard
-        // and local fills dedup per sender), and rows are pure
-        // functions of positions — so the merged store is identical
-        // for any worker count. A key already present means the old
-        // row went stale under churn: it is replaced in place and
-        // re-stamped with the sender's current membership generation.
-        if cached {
-            for shard in &mut self.shards[..workers] {
-                if shard.fill_keys.is_empty() {
-                    continue;
-                }
-                shard.fill_index.clear();
-                for (key, row) in shard.fill_keys.drain(..).zip(shard.fill_rows.drain(..)) {
-                    let gen = self.gains.sender_gen((key >> 32) as DeviceId);
-                    match self.gains.index.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            let i = *e.get() as usize;
-                            debug_assert_ne!(
-                                self.gains.row_gen[i], gen,
-                                "refilled a still-valid gain-cache row, key {key}"
-                            );
-                            self.gains.rows[i] = row;
-                            self.gains.row_gen[i] = gen;
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(self.gains.rows.len() as u32);
-                            self.gains.rows.push(row);
-                            self.gains.row_gen.push(gen);
-                        }
-                    }
-                }
-            }
-        }
 
         // Exact counter reconstruction: the reference walks every
         // (transmission, non-transmitting receiver) pair and counts it
@@ -1134,13 +1333,15 @@ impl FastMedium {
             rec.add("medium.transmissions", transmissions.len() as u64);
             rec.observe("medium.pairs_per_slot", pairs);
             rec.observe("medium.workers_per_slot", workers as u64);
-            let (mut hits, mut filled) = (0u64, 0u64);
-            let (mut busy_max, mut busy_sum) = (0u64, 0u64);
+            let (mut pairs_max, mut pairs_sum) = (0u64, 0u64);
             for shard in &self.shards[..workers] {
-                hits += shard.rows_hit;
-                filled += shard.rows_filled;
-                busy_max = busy_max.max(shard.busy_ns);
-                busy_sum += shard.busy_ns;
+                let shard_pairs: u64 = shard
+                    .runs
+                    .iter()
+                    .map(|r| (r.end - r.start) as u64 * self.cell_txs[r.cell as usize].len() as u64)
+                    .sum();
+                pairs_max = pairs_max.max(shard_pairs);
+                pairs_sum += shard_pairs;
                 rec.record_ns("medium.shard_busy_ns", shard.busy_ns);
                 if shard.fill_ns > 0 {
                     rec.record_ns("medium.gain_fill_ns", shard.fill_ns);
@@ -1154,11 +1355,15 @@ impl FastMedium {
                 rec.add("medium.gain_cache_hits", hits);
                 rec.add("medium.gain_cache_misses", filled);
             }
-            if workers > 1 && busy_sum > 0 {
-                // Shard imbalance: slowest shard over the mean, in
-                // percent (100 = perfectly balanced).
-                let mean = (busy_sum / workers as u64).max(1);
-                rec.observe("medium.shard_imbalance_pct", busy_max * 100 / mean);
+            if workers > 1 && pairs_sum > 0 {
+                // Shard imbalance in work units: the largest shard's
+                // candidate pairs over the mean, in percent (100 =
+                // perfectly balanced). Counted, not clocked, so it is
+                // a pure function of the slot like every other
+                // observation; per-shard wall clock is in
+                // `medium.shard_busy_ns`.
+                let mean = (pairs_sum / workers as u64).max(1);
+                rec.observe("medium.shard_imbalance_pct", pairs_max * 100 / mean);
             }
             rec.stop("medium.resolve_ns", t_resolve);
         }
@@ -1404,7 +1609,7 @@ mod tests {
         // Same seeded world resolved under Off / Fixed{1, 2, 8, 64}:
         // delivered (receiver, sender, power-bits) triples, counters and
         // the full trace-event stream must match exactly. Fixed(64) at
-        // n=48 exercises the clamp to the touched-cell count.
+        // n=48 exercises the clamp to the receiver count.
         use ffd2d_parallel::Parallelism;
         use ffd2d_trace::BufferSink;
         let base = small_cfg(48, 17);

@@ -12,10 +12,11 @@
 //!   land in their own slots, so the output is identical to the
 //!   sequential map regardless of thread count
 //!   ([`pool::parallel_map_with_workers`] pins the count for the
-//!   determinism suite), plus [`pool::sharded_for_each`] and its
-//!   weight-balanced sibling [`pool::sharded_for_each_weighted`]:
-//!   contiguous chunks with per-shard scratch state, the primitives
-//!   behind deterministic *intra-run* medium sharding.
+//!   determinism suite), plus [`pool::weighted_runs`] (contiguous,
+//!   weight-balanced cut points that may fall inside a group) and
+//!   [`pool::for_each_shard`] (one thread per shard scratch): the
+//!   primitives behind deterministic *intra-run* sharding of the medium
+//!   and the proximity-graph build.
 //! * [`sweep`] — the experiment-shaped layer: a parameter grid × trial
 //!   count, each cell reduced with `ffd2d-metrics`-style mergeable
 //!   accumulators, with deterministic per-trial seeds derived from
@@ -23,8 +24,8 @@
 //!   perturb any random draw.
 //! * [`parallelism`] — the [`Parallelism`] knob (`Off | Fixed(k) |
 //!   Auto`) by which a *single* run shards its per-slot medium
-//!   resolution; `Off` by default so the two layers never
-//!   oversubscribe the cores.
+//!   resolution and its proximity-graph build; `Off` by default so the
+//!   two layers never oversubscribe the cores.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,8 +36,7 @@ pub mod sweep;
 
 pub use parallelism::Parallelism;
 pub use pool::{
-    available_workers, parallel_map, parallel_map_with_workers, sharded_for_each,
-    sharded_for_each_weighted,
+    available_workers, for_each_shard, parallel_map, parallel_map_with_workers, weighted_runs,
 };
 pub use sweep::{
     run_sweep, run_trials, run_trials_with_workers, SweepConfig, SweepResult, TrialCtx,

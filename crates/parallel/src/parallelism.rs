@@ -3,8 +3,10 @@
 //! The workspace has two parallelism layers. *Trial-level* parallelism
 //! ([`crate::run_trials`]) spreads independent Monte-Carlo trials over
 //! the pool and is what sweeps use. [`Parallelism`] governs the second
-//! layer: sharding the per-slot medium resolution *inside* a single
-//! run. Both layers are deterministic — results are a pure function of
+//! layer, *inside* a single run: it shards each slot's medium
+//! resolution (gain-row fills, then receiver runs cut by
+//! [`crate::weighted_runs`]) and the world's proximity-graph build
+//! (device blocks). Both layers are deterministic — results are a pure function of
 //! the inputs, never of the worker count — but they compete for the
 //! same cores, so sweeps keep intra-run parallelism [`Parallelism::Off`]
 //! (the default) and single-run workloads (trace replays, benches,
@@ -14,9 +16,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::pool::available_workers;
 
-/// How a single run shards its per-slot medium resolution.
+/// How a single run shards its per-slot medium resolution and its
+/// proximity-graph build.
 ///
-/// Every mode produces bit-identical results (locked by
+/// Every mode produces bit-identical results — outcomes, trace bytes
+/// and the graph's adjacency order (locked by
 /// `tests/medium_equivalence.rs` and `tests/engine_equivalence.rs`);
 /// the choice is purely about wall clock and core contention.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,20 +36,22 @@ pub enum Parallelism {
     /// to force the sharded path at any problem size.
     Fixed(usize),
     /// Shard with every available core ([`available_workers`], so
-    /// `FFD2D_WORKERS` is honored) once a slot's candidate work exceeds
-    /// [`Parallelism::AUTO_ENGAGE_PAIRS`]; below the cutoff the slot
-    /// runs sequentially, so small populations and near-idle slots pay
-    /// no thread overhead.
+    /// `FFD2D_WORKERS` is honored) once the candidate work — a slot's
+    /// `(transmission, receiver)` pairs, or the graph build's candidate
+    /// device pairs — exceeds [`Parallelism::AUTO_ENGAGE_PAIRS`]; below
+    /// the cutoff the work runs sequentially, so small populations and
+    /// near-idle slots pay no thread overhead.
     Auto,
 }
 
 impl Parallelism {
-    /// `Auto` engagement cutoff, in candidate `(transmission, receiver)`
-    /// pairs per slot. Below this, spawn overhead rivals the work.
+    /// `Auto` engagement cutoff, in candidate pairs: `(transmission,
+    /// receiver)` pairs per slot, or device pairs of a graph build.
+    /// Below this, spawn overhead rivals the work.
     pub const AUTO_ENGAGE_PAIRS: u64 = 16 * 1024;
 
-    /// Worker count for a slot with `pairs` candidate
-    /// `(transmission, receiver)` pairs. `1` means "run sequentially".
+    /// Worker count for work of `pairs` candidate pairs. `1` means
+    /// "run sequentially".
     pub fn workers_for(self, pairs: u64) -> usize {
         match self {
             Parallelism::Off => 1,

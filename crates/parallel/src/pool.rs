@@ -108,130 +108,97 @@ where
         .collect()
 }
 
-/// Shard `items` into `scratches.len()` contiguous chunks and run
-/// `f(chunk_start, chunk, scratch)` for each non-empty chunk, one
-/// scoped thread per shard, each with exclusive access to its own
-/// scratch state.
+/// Run `f(shard, scratch)` once for every scratch, each on its own
+/// thread with exclusive access to its scratch state; shard 0 runs on
+/// the caller's thread, the rest on scoped workers.
 ///
 /// This is the primitive behind deterministic *intra-run* parallelism:
-/// the chunk boundaries are a pure function of `items.len()` and the
-/// shard count (near-equal contiguous splits, earlier chunks take the
-/// remainder), each scratch is written by exactly one thread, and the
-/// caller merges the scratches in shard order — which *is* input order,
-/// because the chunks are contiguous. Whatever the thread schedule, the
-/// merged result is identical to running the chunks sequentially.
-///
-/// With a single scratch the chunk runs inline on the caller's thread —
-/// no spawn, no synchronization — so an unengaged parallel path costs
-/// nothing over the plain loop.
+/// what a shard does is a pure function of its index and scratch (the
+/// caller hands each shard its slice of the work beforehand), each
+/// scratch is written by exactly one thread, and the caller merges the
+/// scratches in shard order after the join — so whatever the thread
+/// schedule, the merged result is identical to running the shards one
+/// after another. With a single scratch nothing is spawned: the
+/// unengaged path is the plain inline call.
 ///
 /// Panics in workers propagate to the caller when the scope joins.
-pub fn sharded_for_each<T, C, F>(items: &[T], scratches: &mut [C], f: F)
+pub fn for_each_shard<C, F>(scratches: &mut [C], f: F)
 where
-    T: Sync,
     C: Send,
-    F: Fn(usize, &[T], &mut C) + Sync,
+    F: Fn(usize, &mut C) + Sync,
 {
-    let shards = scratches.len();
-    assert!(shards > 0, "sharded_for_each needs at least one scratch");
-    let len = items.len();
-    if shards == 1 || len <= 1 {
-        if len > 0 {
-            f(0, items, &mut scratches[0]);
-        }
+    let Some((first, rest)) = scratches.split_first_mut() else {
+        return;
+    };
+    if rest.is_empty() {
+        f(0, first);
         return;
     }
-    let base = len / shards;
-    let rem = len % shards;
     let f = &f;
     std::thread::scope(|scope| {
-        let mut rest = &mut scratches[..];
-        let mut start = 0;
-        for i in 0..shards {
-            let size = base + usize::from(i < rem);
-            let (scratch, tail) = rest.split_first_mut().expect("shard count checked");
-            rest = tail;
-            if size == 0 {
-                continue;
-            }
-            let chunk = &items[start..start + size];
-            let chunk_start = start;
-            scope.spawn(move || f(chunk_start, chunk, scratch));
-            start += size;
+        for (i, scratch) in rest.iter_mut().enumerate() {
+            scope.spawn(move || f(i + 1, scratch));
         }
+        f(0, first);
     });
 }
 
-/// [`sharded_for_each`] with per-item weights: chunk boundaries are
-/// chosen so each shard carries a near-equal share of the total weight
-/// instead of a near-equal item count.
+/// Cut a sequence of groups into `shards` contiguous pieces of
+/// near-equal weight, splitting *inside* a group wherever a cut falls
+/// there, and report each piece as `emit(shard, group, start, end)` —
+/// items `start..end` of `group` belong to `shard`.
 ///
-/// `weights` is parallel to `items` (panics on length mismatch). The
-/// boundaries are a pure function of the weights and the shard count —
-/// a greedy front-to-back cut at the remaining-weight / remaining-shards
-/// target — so the split is deterministic and, as with
-/// [`sharded_for_each`], chunks are contiguous and merge in shard order
-/// = input order. Zero-weight items ride along with whichever chunk
-/// reaches them; trailing shards may receive no chunk when earlier ones
-/// absorb everything (their scratches are simply not visited).
-///
-/// The caller's merged result cannot depend on which variant split the
-/// items — only wall-clock balance moves — provided its per-item work
-/// is chunk-independent (true of everything in this workspace: each
-/// scratch key is owned by exactly one item).
-pub fn sharded_for_each_weighted<T, C, F>(items: &[T], weights: &[u64], scratches: &mut [C], f: F)
+/// Group `g` is `groups[g] = (len, unit)`: `len` items weighing `unit`
+/// each. With `W` the total weight and `P` the weight of everything
+/// before an item, the item goes to shard `⌊P · shards / W⌋`. The cut
+/// points are therefore a pure function of the weights and the shard
+/// count; pieces arrive in sequence order, shard indices never
+/// decrease, every item is assigned exactly once, and no shard carries
+/// more than `W / shards` plus one item's weight. Zero-weight items
+/// ride with the shard that reaches them; a shard whose share falls
+/// inside one heavy item receives no piece.
+pub fn weighted_runs<F>(groups: &[(u32, u64)], shards: usize, mut emit: F)
 where
-    T: Sync,
-    C: Send,
-    F: Fn(usize, &[T], &mut C) + Sync,
+    F: FnMut(usize, usize, u32, u32),
 {
-    let shards = scratches.len();
-    assert!(shards > 0, "sharded_for_each_weighted needs a scratch");
-    assert_eq!(
-        items.len(),
-        weights.len(),
-        "weights must be parallel to items"
-    );
-    let len = items.len();
-    if shards == 1 || len <= 1 {
-        if len > 0 {
-            f(0, items, &mut scratches[0]);
+    if shards <= 1 {
+        for (g, &(len, _)) in groups.iter().enumerate() {
+            if len > 0 {
+                emit(0, g, 0, len);
+            }
         }
         return;
     }
-    let mut remaining: u64 = weights.iter().sum();
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut rest = &mut scratches[..];
-        let mut start = 0usize;
-        for i in 0..shards {
-            let (scratch, tail) = rest.split_first_mut().expect("shard count checked");
-            rest = tail;
-            if start >= len {
-                break;
-            }
-            let shards_left = (shards - i) as u64;
-            // Last shard takes the tail; earlier shards fill to the
-            // per-shard target, always making progress (>= 1 item).
-            let end = if i == shards - 1 {
+    let shards = shards as u128;
+    let total: u128 = groups
+        .iter()
+        .map(|&(len, unit)| len as u128 * unit as u128)
+        .sum();
+    // Shard of an item whose predecessors weigh `p`.
+    let shard_of = |p: u128| {
+        (p * shards)
+            .checked_div(total)
+            .map_or(0, |s| s.min(shards - 1))
+    };
+    let mut before = 0u128;
+    for (g, &(len, unit)) in groups.iter().enumerate() {
+        let mut lo = 0u32;
+        while lo < len {
+            let s = shard_of(before + lo as u128 * unit as u128);
+            // The piece runs up to the first item at or past the next
+            // shard's starting weight `⌈(s + 1) · W / shards⌉`.
+            let hi = if s + 1 == shards || unit == 0 {
                 len
             } else {
-                let target = remaining.div_ceil(shards_left);
-                let mut end = start;
-                let mut acc = 0u64;
-                while end < len && (end == start || acc < target) {
-                    acc += weights[end];
-                    end += 1;
-                }
-                remaining -= acc;
-                end
+                let next = ((s + 1) * total).div_ceil(shards);
+                let need = (next - before).div_ceil(unit as u128);
+                need.min(len as u128) as u32
             };
-            let chunk = &items[start..end];
-            let chunk_start = start;
-            scope.spawn(move || f(chunk_start, chunk, scratch));
-            start = end;
+            emit(s as usize, g, lo, hi);
+            lo = hi;
         }
-    });
+        before += len as u128 * unit as u128;
+    }
 }
 
 #[cfg(test)]
@@ -320,124 +287,94 @@ mod tests {
         std::env::remove_var("FFD2D_WORKERS");
     }
 
-    #[test]
-    fn sharded_chunks_cover_input_in_order() {
-        let items: Vec<u32> = (0..103).collect();
-        for shards in [1usize, 2, 3, 8, 103, 200] {
-            let mut scratches: Vec<Vec<(usize, Vec<u32>)>> = vec![Vec::new(); shards];
-            sharded_for_each(&items, &mut scratches, |start, chunk, scratch| {
-                scratch.push((start, chunk.to_vec()));
-            });
-            // Each shard got at most one contiguous chunk; concatenated
-            // in shard order they reproduce the input exactly.
-            let mut rebuilt: Vec<(usize, Vec<u32>)> = Vec::new();
-            for s in &scratches {
-                assert!(s.len() <= 1, "shards={shards}");
-                rebuilt.extend(s.iter().cloned());
-            }
-            let mut expect_start = 0;
-            let mut flat = Vec::new();
-            for (start, chunk) in rebuilt {
-                assert_eq!(start, expect_start, "shards={shards}");
-                expect_start += chunk.len();
-                flat.extend(chunk);
-            }
-            assert_eq!(flat, items, "shards={shards}");
-        }
+    /// Collect `weighted_runs` pieces as `(shard, group, start, end)`.
+    fn runs(groups: &[(u32, u64)], shards: usize) -> Vec<(usize, usize, u32, u32)> {
+        let mut out = Vec::new();
+        weighted_runs(groups, shards, |s, g, lo, hi| out.push((s, g, lo, hi)));
+        out
     }
 
     #[test]
-    fn sharded_scratches_merge_like_sequential() {
-        // Summing per shard and merging equals the sequential sum,
-        // whatever the shard count.
-        let items: Vec<u64> = (0..1000).map(|x| x * x + 1).collect();
-        let expect: u64 = items.iter().sum();
-        for shards in [1usize, 2, 5, 8, 32] {
-            let mut sums = vec![0u64; shards];
-            sharded_for_each(&items, &mut sums, |_, chunk, sum| {
-                *sum += chunk.iter().sum::<u64>();
-            });
-            assert_eq!(sums.iter().sum::<u64>(), expect, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_empty_input_is_a_no_op() {
-        let mut scratches = vec![0u32; 4];
-        sharded_for_each(&[] as &[u8], &mut scratches, |_, _, s| *s += 1);
-        assert_eq!(scratches, vec![0; 4]);
-    }
-
-    #[test]
-    fn weighted_chunks_cover_input_in_order() {
-        let items: Vec<u32> = (0..103).collect();
-        // A heavily skewed weight profile: a few huge cells up front.
-        let weights: Vec<u64> = (0..103u64)
-            .map(|i| if i < 3 { 1000 } else { i % 7 })
+    fn weighted_runs_cover_every_item_once_in_order() {
+        let groups: Vec<(u32, u64)> = (0..40u64)
+            .map(|i| ((i * 7 % 11) as u32, if i < 3 { 1000 } else { i % 5 }))
             .collect();
-        for shards in [1usize, 2, 3, 8, 103, 200] {
-            let mut scratches: Vec<Vec<(usize, Vec<u32>)>> = vec![Vec::new(); shards];
-            sharded_for_each_weighted(&items, &weights, &mut scratches, |start, chunk, scratch| {
-                scratch.push((start, chunk.to_vec()));
-            });
-            let mut expect_start = 0;
-            let mut flat = Vec::new();
-            for s in &scratches {
-                assert!(s.len() <= 1, "shards={shards}");
-                for (start, chunk) in s {
-                    assert_eq!(*start, expect_start, "shards={shards}");
-                    expect_start += chunk.len();
-                    flat.extend(chunk.iter().copied());
+        for shards in [1usize, 2, 3, 8, 64, 500] {
+            let pieces = runs(&groups, shards);
+            let mut cursor = (0usize, 0u32);
+            let mut last_shard = 0;
+            for &(s, g, lo, hi) in &pieces {
+                assert!(s < shards && s >= last_shard, "shards={shards}");
+                assert!(lo < hi, "empty piece, shards={shards}");
+                while cursor.0 < g {
+                    assert_eq!(cursor.1, groups[cursor.0].0, "gap, shards={shards}");
+                    cursor = (cursor.0 + 1, 0);
                 }
+                assert_eq!((cursor.0, cursor.1), (g, lo), "shards={shards}");
+                cursor.1 = hi;
+                last_shard = s;
             }
-            assert_eq!(flat, items, "shards={shards}");
+            let assigned: u32 = pieces.iter().map(|&(_, _, lo, hi)| hi - lo).sum();
+            assert_eq!(assigned, groups.iter().map(|g| g.0).sum::<u32>());
         }
     }
 
     #[test]
-    fn weighted_split_balances_weight_not_count() {
-        // One giant item followed by many small ones: the even-count
-        // split would put the giant plus half the small ones on shard 0;
-        // the weighted split isolates the giant.
-        let items: Vec<u32> = (0..64).collect();
-        let mut weights = vec![1u64; 64];
-        weights[0] = 1_000;
-        let mut chunks: Vec<Vec<u32>> = vec![Vec::new(); 4];
-        sharded_for_each_weighted(&items, &weights, &mut chunks, |_, chunk, out| {
-            out.extend_from_slice(chunk);
+    fn one_heavy_group_splits_across_every_shard() {
+        // A single grid cell holding all the work: the whole point of
+        // cutting inside groups.
+        for shards in [2usize, 3, 8] {
+            let pieces = runs(&[(5000, 40)], shards);
+            assert_eq!(pieces.len(), shards);
+            for (i, &(s, g, lo, hi)) in pieces.iter().enumerate() {
+                assert_eq!((s, g), (i, 0));
+                let len = hi - lo;
+                assert!(
+                    len.abs_diff(5000 / shards as u32) <= 1,
+                    "shards={shards}: {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_runs_balance_weight_not_count() {
+        // A heavy group followed by many light ones.
+        let mut groups = vec![(10u32, 100u64)];
+        groups.extend(std::iter::repeat_n((10u32, 1u64), 100));
+        let shards = 4;
+        let total: u64 = groups.iter().map(|&(l, u)| l as u64 * u).sum();
+        let mut load = [0u64; 4];
+        weighted_runs(&groups, shards, |s, g, lo, hi| {
+            load[s] += (hi - lo) as u64 * groups[g].1;
         });
-        assert_eq!(chunks[0], vec![0], "the giant cell gets its own shard");
-        let rest: usize = chunks[1..].iter().map(Vec::len).sum();
-        assert_eq!(rest, 63, "remaining items spread over the other shards");
+        for l in load {
+            assert!(l <= total / shards as u64 + 100, "{load:?}");
+        }
+        assert_eq!(load.iter().sum::<u64>(), total);
     }
 
     #[test]
-    fn weighted_zero_weights_still_assign_every_item() {
-        let items: Vec<u32> = (0..10).collect();
-        let weights = vec![0u64; 10];
-        for shards in [2usize, 3, 10, 16] {
-            let mut counts = vec![0usize; shards];
-            sharded_for_each_weighted(&items, &weights, &mut counts, |_, chunk, c| {
-                *c += chunk.len();
-            });
-            assert_eq!(counts.iter().sum::<usize>(), 10, "shards={shards}");
+    fn weighted_runs_handle_zero_weights_and_empty_groups() {
+        assert!(runs(&[], 4).is_empty());
+        assert_eq!(runs(&[(0, 5), (3, 0), (0, 0)], 4), vec![(0, 1, 0, 3)]);
+    }
+
+    #[test]
+    fn for_each_shard_visits_every_scratch_once() {
+        for shards in [0usize, 1, 2, 5] {
+            let mut seen = vec![usize::MAX; shards];
+            for_each_shard(&mut seen, |i, s| *s = i);
+            assert_eq!(seen, (0..shards).collect::<Vec<_>>());
         }
     }
 
     #[test]
     #[should_panic]
-    fn weighted_length_mismatch_panics() {
-        let mut scratches = vec![(); 2];
-        sharded_for_each_weighted(&[1u32, 2, 3], &[1u64], &mut scratches, |_, _, _| {});
-    }
-
-    #[test]
-    #[should_panic]
-    fn sharded_worker_panic_propagates() {
-        let items: Vec<u32> = (0..64).collect();
+    fn shard_worker_panic_propagates() {
         let mut scratches = vec![(); 4];
-        sharded_for_each(&items, &mut scratches, |start, _, _| {
-            if start > 0 {
+        for_each_shard(&mut scratches, |i, _| {
+            if i > 0 {
                 panic!("boom");
             }
         });

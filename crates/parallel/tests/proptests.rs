@@ -1,14 +1,15 @@
 //! Property-based tests for the sharded-merge contract.
 //!
-//! The intra-run parallel medium tallies a private [`Counters`] per
-//! shard and merges them in shard order. These properties pin the
-//! algebra that makes that bit-identical to the sequential tally: for
-//! any event stream and any contiguous sharding, per-shard tallies
-//! merged in order equal tallying the whole stream sequentially.
+//! Intra-run parallelism hands each shard a contiguous piece of the
+//! work ([`weighted_runs`]), lets it tally privately and merges the
+//! shards in shard order. These properties pin what makes that
+//! bit-identical to the sequential loop: for any grouping, weights and
+//! shard count the pieces cover the stream exactly once, in order, and
+//! per-shard tallies merged in order equal the sequential tally.
 
 use proptest::prelude::*;
 
-use ffd2d_parallel::sharded_for_each;
+use ffd2d_parallel::{for_each_shard, weighted_runs};
 use ffd2d_sim::counters::Counters;
 
 /// One medium outcome, as the resolver would tally it: which counter
@@ -29,10 +30,12 @@ fn apply(c: &mut Counters, ev: (u8, u64)) {
 
 proptest! {
     /// Sharded tallies merged in shard order equal the sequential
-    /// tally, for any event stream and any shard count.
+    /// tally, for any event stream cut into any weighted groups and any
+    /// shard count.
     #[test]
     fn sharded_counters_merge_equals_sequential_tally(
         events in proptest::collection::vec((any::<u8>(), 0u64..1 << 40), 0..300),
+        cuts in proptest::collection::vec((1u32..40, 0u64..50), 1..20),
         shards in 1usize..12,
     ) {
         let mut sequential = Counters::new();
@@ -40,14 +43,43 @@ proptest! {
             apply(&mut sequential, ev);
         }
 
-        let mut per_shard = vec![Counters::new(); shards];
-        sharded_for_each(&events, &mut per_shard, |_, chunk, c| {
-            for &ev in chunk {
-                apply(c, ev);
+        // Group the stream: each group takes up to `len` events.
+        let mut groups = Vec::new();
+        let mut taken = 0u32;
+        for &(len, unit) in &cuts {
+            let len = len.min(events.len() as u32 - taken);
+            groups.push((len, unit));
+            taken += len;
+        }
+        groups.push((events.len() as u32 - taken, 1));
+        let offsets: Vec<u32> = groups
+            .iter()
+            .scan(0, |acc, &(len, _)| {
+                let start = *acc;
+                *acc += len;
+                Some(start)
+            })
+            .collect();
+
+        let mut pieces: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shards];
+        let mut covered = Vec::new();
+        weighted_runs(&groups, shards, |s, g, lo, hi| {
+            pieces[s].push((offsets[g] + lo, offsets[g] + hi));
+            covered.extend(offsets[g] + lo..offsets[g] + hi);
+        });
+        prop_assert_eq!(covered, (0..events.len() as u32).collect::<Vec<_>>());
+
+        let mut per_shard: Vec<(Vec<(u32, u32)>, Counters)> =
+            pieces.into_iter().map(|p| (p, Counters::new())).collect();
+        for_each_shard(&mut per_shard, |_, (pieces, c)| {
+            for &(lo, hi) in pieces.iter() {
+                for &ev in &events[lo as usize..hi as usize] {
+                    apply(c, ev);
+                }
             }
         });
         let mut merged = Counters::new();
-        for shard in &per_shard {
+        for (_, shard) in &per_shard {
             merged.merge(shard);
         }
         prop_assert_eq!(merged, sequential);

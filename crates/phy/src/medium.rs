@@ -17,14 +17,11 @@
 //! The resolver also tallies [`Counters`] so experiments can attribute
 //! losses (Fig. 4's message accounting and the collision ablations).
 
-use std::time::Instant;
-
-use ffd2d_parallel::{sharded_for_each, Parallelism};
 use ffd2d_sim::counters::Counters;
 use ffd2d_sim::deployment::DeviceId;
 use ffd2d_sim::time::Slot;
 use ffd2d_telemetry::{NullRecorder, Recorder};
-use ffd2d_trace::{BufferSink, NullSink, TraceEvent, TraceSink};
+use ffd2d_trace::{NullSink, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 
 use crate::codec::RachCodec;
@@ -71,11 +68,6 @@ pub struct MediumConfig {
     /// Capture margin: the strongest same-codec signal decodes if it
     /// exceeds the runner-up by at least this many dB.
     pub capture_margin: Db,
-    /// Intra-slot sharding of the per-receiver loop. Every setting
-    /// produces bit-identical reports, counters and trace bytes (each
-    /// channel sample is a pure function of `(tx, rx, slot)`); the
-    /// knob only trades threads for wall clock.
-    pub parallelism: Parallelism,
 }
 
 impl Default for MediumConfig {
@@ -83,12 +75,13 @@ impl Default for MediumConfig {
         MediumConfig {
             // 6 dB is a conventional preamble capture threshold.
             capture_margin: Db(6.0),
-            parallelism: Parallelism::Off,
         }
     }
 }
 
-/// The per-slot shared-medium resolver.
+/// The per-slot shared-medium resolver. It is the serial oracle the
+/// fast medium in `ffd2d-core` is checked against, so it walks every
+/// `(transmission, receiver)` pair on the calling thread.
 #[derive(Debug, Clone)]
 pub struct Medium {
     config: MediumConfig,
@@ -100,9 +93,9 @@ impl Default for Medium {
     }
 }
 
-/// Per-slot precomputation shared (read-only) by every receiver shard:
-/// the transmitting-sender set and the per-codec transmission lists,
-/// each built once instead of re-derived per receiver.
+/// Per-slot precomputation shared by every receiver: the
+/// transmitting-sender set and the per-codec transmission lists, each
+/// built once instead of re-derived per receiver.
 struct PreparedSlot {
     slot: Slot,
     /// Senders transmitting this slot, sorted for membership tests.
@@ -142,28 +135,10 @@ impl PreparedSlot {
     }
 }
 
-/// One worker's private output in the sharded path: merged in shard
-/// (= receiver) order after the scope joins.
-#[derive(Default)]
-struct RxShard {
-    counters: Counters,
-    reports: Vec<DeliveryReport>,
-    events: BufferSink,
-    /// Wall-clock spent in this shard's decode loop; written only when
-    /// a telemetry recorder is enabled, read after the scope joins.
-    busy_ns: u64,
-}
-
 impl Medium {
     /// A medium with the given configuration.
     pub fn new(config: MediumConfig) -> Medium {
         Medium { config }
-    }
-
-    /// Builder: set the intra-slot [`Parallelism`] mode.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Medium {
-        self.config.parallelism = parallelism;
-        self
     }
 
     /// Resolve one slot.
@@ -215,9 +190,8 @@ impl Medium {
     }
 
     /// [`Medium::resolve_traced`] plus a telemetry [`Recorder`]: the
-    /// resolver times itself, counts work (transmissions, tx×rx pairs,
-    /// workers) and reports per-shard busy time so load imbalance is
-    /// visible. Telemetry reads the clock but never the channel or any
+    /// resolver times itself and counts work (transmissions, tx×rx
+    /// pairs, always one worker). Telemetry reads the clock but never the channel or any
     /// RNG, so reports, counters and trace bytes are bit-identical
     /// whatever recorder is attached; a [`NullRecorder`] compiles every
     /// site out, leaving exactly the untraced resolver.
@@ -259,83 +233,10 @@ impl Medium {
         }
 
         let prepared = PreparedSlot::new(slot, transmissions);
-        let workers = self
-            .config
-            .parallelism
-            .workers_for(transmissions.len() as u64 * receivers.len() as u64)
-            .min(receivers.len().max(1));
-
+        let before = counters.rx_below_threshold;
         let mut reports: Vec<DeliveryReport> = Vec::with_capacity(receivers.len());
-        let below_threshold = if workers <= 1 {
-            let before = counters.rx_below_threshold;
-            self.resolve_receivers(channel, &prepared, receivers, counters, &mut reports, sink);
-            counters.rx_below_threshold - before
-        } else {
-            // Sharded path: contiguous receiver ranges, each worker
-            // tallying into private counters/reports/event buffers. Every
-            // channel sample is a pure function of `(tx, rx, slot)`, so
-            // per-receiver outcomes cannot depend on the sharding; the
-            // merge below concatenates in shard order — which is receiver
-            // order — making reports, counters and the event stream
-            // bit-identical to the sequential loop for any worker count.
-            let mut shards: Vec<RxShard> = Vec::new();
-            shards.resize_with(workers, RxShard::default);
-            sharded_for_each(receivers, &mut shards, |_, chunk, shard| {
-                let t0 = if R::ENABLED {
-                    // ffd2d-lint: allow(wall-clock) — recorder-gated shard timing; feeds telemetry only, never protocol state or RNG, and the NullRecorder build compiles it out entirely
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                if S::ENABLED {
-                    self.resolve_receivers(
-                        channel,
-                        &prepared,
-                        chunk,
-                        &mut shard.counters,
-                        &mut shard.reports,
-                        &mut shard.events,
-                    );
-                } else {
-                    self.resolve_receivers(
-                        channel,
-                        &prepared,
-                        chunk,
-                        &mut shard.counters,
-                        &mut shard.reports,
-                        &mut NullSink,
-                    );
-                }
-                if let Some(t0) = t0 {
-                    shard.busy_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                }
-            });
-            let mut below = 0u64;
-            for shard in &mut shards {
-                below += shard.counters.rx_below_threshold;
-                counters.merge(&shard.counters);
-                reports.append(&mut shard.reports);
-                if S::ENABLED {
-                    shard.events.flush_into(sink);
-                }
-            }
-            if R::ENABLED {
-                let mut busy_sum = 0u64;
-                let mut busy_max = 0u64;
-                for shard in &shards {
-                    rec.record_ns("medium.shard_busy_ns", shard.busy_ns);
-                    busy_sum = busy_sum.saturating_add(shard.busy_ns);
-                    busy_max = busy_max.max(shard.busy_ns);
-                }
-                if busy_sum > 0 {
-                    // Peak-to-mean shard busy time, in percent (100 =
-                    // perfectly balanced).
-                    let mean = (busy_sum / workers as u64).max(1);
-                    rec.observe("medium.shard_imbalance_pct", busy_max * 100 / mean);
-                }
-            }
-            below
-        };
+        self.resolve_receivers(channel, &prepared, receivers, counters, &mut reports, sink);
+        let below_threshold = counters.rx_below_threshold - before;
 
         if S::ENABLED && below_threshold > 0 {
             sink.event(&TraceEvent::RxBelowThreshold {
@@ -350,17 +251,15 @@ impl Medium {
                 "medium.pairs_per_slot",
                 transmissions.len() as u64 * receivers.len() as u64,
             );
-            rec.observe("medium.workers_per_slot", workers as u64);
+            rec.observe("medium.workers_per_slot", 1);
             rec.stop("medium.resolve_ns", t_resolve);
         }
         reports
     }
 
-    /// The per-receiver decode loop over one contiguous receiver range:
-    /// appends one report per receiver and tallies receptions (including
-    /// `rx_below_threshold`; the caller emits the per-slot aggregate
-    /// event). Both the sequential path (full range, caller's sink) and
-    /// each parallel shard (sub-range, private buffer) run exactly this.
+    /// The per-receiver decode loop: appends one report per receiver and
+    /// tallies receptions (including `rx_below_threshold`; the caller
+    /// emits the per-slot aggregate event).
     fn resolve_receivers<S: TraceSink>(
         &self,
         channel: &Channel<'_>,
@@ -589,45 +488,6 @@ mod tests {
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| r.decoded.is_empty()));
         assert_eq!(counters.total_tx(), 0);
-    }
-
-    #[test]
-    fn sharded_resolver_is_bit_identical_to_sequential() {
-        // 40 devices on a line, a mix of codecs and collisions; the
-        // sharded resolver must reproduce the sequential one exactly —
-        // reports, counters, and the event stream in the same order —
-        // for any worker count (Fixed pins bypass the Auto cutoff).
-        let dep = line_deployment(&(0..40).map(|i| i as f64 * 9.0).collect::<Vec<_>>());
-        let ch = Channel::new(&dep, ChannelConfig::ideal(), 1);
-        let receivers: Vec<u32> = (0..40).collect();
-        let txs = [
-            fire(0),
-            fire(13),
-            hconnect(25, 24),
-            fire(39),
-            hconnect(7, 8),
-        ];
-
-        let run = |parallelism: Parallelism| {
-            let medium = Medium::default().with_parallelism(parallelism);
-            let mut counters = Counters::new();
-            let mut events = BufferSink::new();
-            let reports =
-                medium.resolve_traced(&ch, Slot(3), &txs, &receivers, &mut counters, &mut events);
-            let decoded: Vec<Vec<ProximitySignal>> =
-                reports.into_iter().map(|r| r.decoded).collect();
-            (decoded, counters, events.events)
-        };
-
-        let baseline = run(Parallelism::Off);
-        assert!(baseline.1.rx_ok > 0, "vacuous scenario");
-        assert!(baseline.1.rx_collision > 0, "no collisions exercised");
-        for workers in [1usize, 2, 8, 64] {
-            let sharded = run(Parallelism::Fixed(workers));
-            assert_eq!(sharded.0, baseline.0, "reports, workers={workers}");
-            assert_eq!(sharded.1, baseline.1, "counters, workers={workers}");
-            assert_eq!(sharded.2, baseline.2, "events, workers={workers}");
-        }
     }
 
     #[test]

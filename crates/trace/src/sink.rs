@@ -97,13 +97,8 @@ impl TraceSink for CountingSink {
     }
 }
 
-/// Buffers events in memory, in arrival order.
-///
-/// The intra-run parallel medium hands one `BufferSink` to each shard:
-/// workers record their receivers' events privately, then the caller
-/// [`BufferSink::flush_into`]s the buffers in shard order — which is
-/// receiver order, because shards are contiguous receiver ranges — so
-/// the merged stream is byte-identical to the sequential resolver's.
+/// Buffers events in memory, in arrival order, for comparing whole
+/// event streams or replaying them later ([`BufferSink::flush_into`]).
 /// Events are plain `Copy` data (see [`TraceEvent`]), so buffering
 /// never borrows from the run.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -21,8 +21,10 @@
 //! * a low-shadowing (σ = 3 dB), no-fading 1 km arena — pruning with a
 //!   non-trivial shadowing bound in play.
 
+use ffd2d_baseline::FstProtocol;
 use ffd2d_core::scenario::ScenarioConfig;
 use ffd2d_core::world::{FastMedium, World};
+use ffd2d_core::StProtocol;
 use ffd2d_parallel::Parallelism;
 use ffd2d_phy::codec::ServiceClass;
 use ffd2d_phy::frame::{FrameKind, ProximitySignal};
@@ -31,6 +33,7 @@ use ffd2d_radio::fading::FadingModel;
 use ffd2d_sim::counters::Counters;
 use ffd2d_sim::deployment::Meters;
 use ffd2d_sim::time::{Slot, SlotDuration};
+use ffd2d_telemetry::Telemetry;
 use ffd2d_trace::JsonlSink;
 
 /// Deterministic schedule: for each slot, a seed-derived subset of
@@ -213,56 +216,9 @@ fn equivalent_at_n500_sparse_shadowed() {
     assert_equivalent(&sparse_shadowed_cfg(500, 9), 9, 40);
 }
 
-/// Per-receiver decoded `(rx, sender)` pairs, one entry per
-/// (slot, receiver) in visit order.
-type DecodedByReceiver = Vec<Vec<(u32, u32)>>;
-
-/// Drive the reference resolver over `slots` slots under one
-/// parallelism setting, returning everything observable: reports,
-/// counters, and the traced JSONL bytes.
-fn run_reference_sharded(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    slots: u64,
-    parallelism: Parallelism,
-) -> (DecodedByReceiver, Counters, Vec<u8>) {
-    let world = World::new(cfg);
-    let n = world.n() as u32;
-    let channel = world.reference_channel();
-    let medium = Medium::default().with_parallelism(parallelism);
-    let receivers: Vec<u32> = (0..n).collect();
-    let mut counters = Counters::new();
-    let mut sink = JsonlSink::new(Vec::new());
-    let mut decoded = Vec::new();
-    for slot in 0..slots {
-        let txs = schedule(n, seed, slot);
-        let transmissions: Vec<Transmission> = txs.iter().map(|&s| Transmission::new(s)).collect();
-        let reports = medium.resolve_traced(
-            &channel,
-            Slot(slot),
-            &transmissions,
-            &receivers,
-            &mut counters,
-            &mut sink,
-        );
-        // Keep the *exact* report order (no sort): sharding must not
-        // even permute within a receiver.
-        for (rx, report) in receivers.iter().zip(&reports) {
-            decoded.push(
-                report
-                    .decoded
-                    .iter()
-                    .map(|sig| (*rx, sig.sender))
-                    .collect::<Vec<_>>(),
-            );
-        }
-    }
-    assert!(sink.io_error().is_none());
-    (decoded, counters, sink.into_inner())
-}
-
-/// Drive the fast resolver likewise; deliveries keep order and carry
-/// the decoded power's exact bits.
+/// Drive the fast resolver over `slots` slots under one parallelism
+/// setting; deliveries keep order and carry the decoded power's exact
+/// bits, and the traced JSONL bytes come back too.
 fn run_fast_sharded(
     cfg: &ScenarioConfig,
     seed: u64,
@@ -291,30 +247,11 @@ fn run_fast_sharded(
     (delivered, counters, sink.into_inner())
 }
 
-/// Worker-count determinism, reference resolver: reports (in exact
-/// order), counters and traced JSONL bytes must not depend on the
-/// sharding. `Fixed` bypasses the auto-engagement threshold, so even
-/// the small-n run genuinely crosses the threaded path.
-fn assert_reference_sharding_neutral(cfg: &ScenarioConfig, seed: u64, slots: u64) {
-    let baseline = run_reference_sharded(cfg, seed, slots, Parallelism::Off);
-    assert!(baseline.1.rx_ok > 0, "vacuous run: nothing ever decoded");
-    for workers in [1usize, 2, 8] {
-        let sharded = run_reference_sharded(cfg, seed, slots, Parallelism::Fixed(workers));
-        assert_eq!(sharded.0, baseline.0, "reports diverged, {workers} workers");
-        assert_eq!(
-            sharded.1, baseline.1,
-            "counters diverged, {workers} workers"
-        );
-        assert_eq!(
-            sharded.2, baseline.2,
-            "trace bytes diverged, {workers} workers"
-        );
-    }
-}
-
 /// Worker-count determinism, fast resolver: deliveries (order and
-/// power bits), counters and traced JSONL bytes must not depend on the
-/// sharding of the touched-cell walk.
+/// power bits), counters and traced JSONL bytes must not depend on how
+/// the slot's receivers are cut into runs, nor on which shard fills
+/// which gain row. `Fixed` bypasses the auto-engagement threshold, so
+/// even the small-n run genuinely crosses the threaded path.
 fn assert_fast_sharding_neutral(cfg: &ScenarioConfig, seed: u64, slots: u64) {
     let baseline = run_fast_sharded(cfg, seed, slots, Parallelism::Off);
     assert!(baseline.1.rx_ok > 0, "vacuous run: nothing ever decoded");
@@ -336,16 +273,6 @@ fn assert_fast_sharding_neutral(cfg: &ScenarioConfig, seed: u64, slots: u64) {
 }
 
 #[test]
-fn reference_sharding_neutral_at_n50_table1() {
-    assert_reference_sharding_neutral(&table1_cfg(50, 0xCAFE), 0xCAFE, 60);
-}
-
-#[test]
-fn reference_sharding_neutral_at_n500_table1() {
-    assert_reference_sharding_neutral(&table1_cfg(500, 0xD00D), 0xD00D, 15);
-}
-
-#[test]
 fn fast_sharding_neutral_at_n50_table1() {
     assert_fast_sharding_neutral(&table1_cfg(50, 0xF00), 0xF00, 60);
 }
@@ -357,9 +284,82 @@ fn fast_sharding_neutral_at_n500_table1() {
 
 #[test]
 fn fast_sharding_neutral_at_n500_sparse_ideal() {
-    // The pruning regime: many grid cells, so the cell-chunked shards
-    // genuinely split the walk.
+    // The pruning regime: many grid cells, so runs span several cells
+    // as well as splitting inside them.
     assert_fast_sharding_neutral(&sparse_ideal_cfg(500, 0x5CA7), 0x5CA7, 15);
+}
+
+#[test]
+fn a_single_cell_arena_really_resolves_on_two_workers() {
+    // The Table-I arena is one grid cell. Sharding by cells could never
+    // split it; receiver runs must, and both protocols must still
+    // reproduce the serial run exactly.
+    let cfg = table1_cfg(500, 0x5111).with_max_slots(SlotDuration(200));
+    let run = |parallelism: Parallelism| {
+        let world = World::new(&cfg.clone().with_parallelism(parallelism));
+        assert_eq!(world.spatial_grid().cell_count(), 1);
+        let mut sink = JsonlSink::new(Vec::new());
+        let mut st_rec = Telemetry::new();
+        let st = StProtocol::run_in_instrumented(&world, &mut sink, &mut st_rec);
+        let mut fst_rec = Telemetry::new();
+        let fst = FstProtocol::run_in_instrumented(&world, &mut sink, &mut fst_rec);
+        assert!(sink.io_error().is_none());
+        let workers = [st_rec, fst_rec].map(|rec| {
+            rec.observation("medium.workers_per_slot")
+                .and_then(|h| h.max())
+                .unwrap_or(0)
+        });
+        (st, fst, sink.into_inner(), workers)
+    };
+    let serial = run(Parallelism::Off);
+    let sharded = run(Parallelism::Fixed(2));
+    assert_eq!(serial.3, [1, 1], "the serial run sharded");
+    assert_eq!(
+        sharded.3,
+        [2, 2],
+        "a slot of the single cell stayed on one worker"
+    );
+    assert_eq!(sharded.0, serial.0, "ST outcome diverged");
+    assert_eq!(sharded.1, serial.1, "FST outcome diverged");
+    assert!(!serial.2.is_empty());
+    assert!(sharded.2 == serial.2, "trace bytes diverged");
+}
+
+/// Every vertex's adjacency, in stored order, with weight bits.
+fn adjacency(world: &World) -> Vec<Vec<(u32, u64)>> {
+    let g = world.proximity_graph();
+    (0..g.n() as u32)
+        .map(|v| {
+            g.neighbors(v)
+                .iter()
+                .map(|&(b, w)| (b, w.get().to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+fn assert_graph_sharding_neutral(cfg: &ScenarioConfig) {
+    let serial = adjacency(&World::new(&cfg.clone().with_parallelism(Parallelism::Off)));
+    assert!(serial.iter().any(|nbrs| !nbrs.is_empty()), "vacuous graph");
+    for workers in [1usize, 2, 8] {
+        let cfg = cfg.clone().with_parallelism(Parallelism::Fixed(workers));
+        assert!(
+            adjacency(&World::new(&cfg)) == serial,
+            "proximity graph diverged, {workers} workers"
+        );
+    }
+}
+
+#[test]
+fn proximity_graph_is_sharding_neutral_in_one_cell() {
+    assert_graph_sharding_neutral(&table1_cfg(700, 0x6A1));
+}
+
+#[test]
+fn proximity_graph_is_sharding_neutral_across_cells() {
+    let cfg = sparse_ideal_cfg(700, 0x6A2);
+    assert!(World::new(&cfg).spatial_grid().cell_count() > 1);
+    assert_graph_sharding_neutral(&cfg);
 }
 
 #[test]
